@@ -198,9 +198,11 @@ def train(config_path, seed, out):
     )
     tsv_path = out_dir / "history.tsv"
     with tsv_path.open("w", encoding="utf-8") as fh:
-        fh.write("epoch\ttrain_loss\tval_rmse_va\n")
+        fh.write("epoch\ttrain_loss\tval_rmse_va\tgrad_norm_mean\tgrad_norm_max\tclipped_frac\n")
         for row in history.to_rows():
-            fh.write(f"{row['epoch']}\t{row['train_loss']:.6f}\t{row['val_rmse_va']:.6f}\n")
+            fh.write(f"{row['epoch']}\t{row['train_loss']:.6f}\t{row['val_rmse_va']:.6f}\t"
+                     f"{row['grad_norm_mean']:.6f}\t{row['grad_norm_max']:.6f}\t"
+                     f"{row['clipped_frac']:.6f}\n")
 
     click.echo(f"best epoch: {history.best_epoch} "
                f"(val rmse_va {history.records[history.best_epoch - 1].val_rmse_va:.4f})")
@@ -253,9 +255,8 @@ def _parse_edges(text: str):
 def evaluate(gold, pred, gold_format, edges, method, dataset, out):
     """Score a prediction file against gold and write the full report."""
     edge_list = _parse_edges(edges)
-    report = metrics_mod.score_files(gold, pred, gold_format=gold_format)
-    preds, golds, _ = metrics_mod.paired_from_files(gold, pred, gold_format=gold_format)
-    grid = metrics_mod.va_heatmap(preds, golds, edge_list, edge_list)
+    report = metrics_mod.score_files(gold, pred, gold_format=gold_format, edges=edge_list)
+    grid = report.heatmap
 
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)

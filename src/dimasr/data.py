@@ -85,6 +85,8 @@ class DatasetSplit:
 
 def parse_va_string(s: str) -> VAPair:
     """Parse a "V#A" string into a VAPair. No clipping: gold values must be in range."""
+    if not isinstance(s, str):
+        raise DataError(f"expected a \"V#A\" string, got {s!r}")
     parts = s.split("#")
     if len(parts) != 2:
         raise DataError(f"expected exactly one '#' in VA string, got {s!r}")
@@ -269,6 +271,32 @@ def dataset_stats(records_by_key: Mapping) -> list:
 # ---------------------------------------------------------------------------
 # instance / prediction file io
 
+def _json_object(line: str, path, lineno: int, fields: Sequence[str]) -> dict:
+    """One line of an instance or prediction file: an object that holds every
+    name in `fields`, with an integer aspect_index."""
+    where = f"{path}:{lineno}"
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{where}: malformed JSON ({exc.msg})") from None
+    if not isinstance(obj, dict):
+        raise DataError(f"{where}: expected an object, got {type(obj).__name__}")
+    for name in fields:
+        if name not in obj:
+            raise DataError(f"{where}: missing field {name!r}")
+    if type(obj["aspect_index"]) is not int:
+        raise DataError(f"{where}: aspect_index must be an integer, got {obj['aspect_index']!r}")
+    return obj
+
+
+def _line_va(s, path, lineno: int) -> VAPair:
+    """parse_va_string for one line of a file; errors name the file and line."""
+    try:
+        return parse_va_string(s)
+    except DataError as exc:
+        raise DataError(f"{path}:{lineno}: {exc}") from None
+
+
 def write_instances(instances, path) -> None:
     with Path(path).open("w", encoding="utf-8") as fh:
         for inst in instances:
@@ -288,13 +316,10 @@ def read_instances(path):
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}:{lineno}: malformed JSON ({exc.msg})") from None
-            gold = parse_va_string(obj["va"]) if obj.get("va") else None
+            obj = _json_object(line, path, lineno, ("id", "aspect_index", "text", "aspect"))
+            gold = _line_va(obj["va"], path, lineno) if obj.get("va") else None
             instances.append(
-                AspectInstance(str(obj["id"]), int(obj["aspect_index"]), obj["text"], obj["aspect"], gold)
+                AspectInstance(str(obj["id"]), obj["aspect_index"], obj["text"], obj["aspect"], gold)
             )
     return instances
 
@@ -321,14 +346,11 @@ def read_predictions(path) -> dict:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}:{lineno}: malformed JSON ({exc.msg})") from None
-            key = (str(obj["id"]), int(obj["aspect_index"]))
+            obj = _json_object(line, path, lineno, ("id", "aspect_index", "va"))
+            key = (str(obj["id"]), obj["aspect_index"])
             if key in preds:
                 raise DataError(f"{path}:{lineno}: duplicate prediction for {key}")
-            preds[key] = parse_va_string(obj["va"])
+            preds[key] = _line_va(obj["va"], path, lineno)
     return preds
 
 

@@ -1,33 +1,20 @@
 """Numeric kernels for the training loop.
 
-Two implementations of every hot kernel: a numba @njit version and a pure
-numpy version. The numpy path is selected by setting DIMASR_DISABLE_NUMBA=1
-before import (or automatically when numba is unavailable). Both paths use
-float64 throughout and are deterministic; a given process always runs one
-path, so repeated runs produce bit-identical results.
-
-See benchmarks/bench_kernels.py for a speed comparison of the two paths.
+One numpy implementation of every hot kernel, float64 throughout and
+deterministic, so repeated runs produce bit-identical results.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-NUMBA_ENABLED = os.environ.get("DIMASR_DISABLE_NUMBA", "0") not in ("1", "true", "yes")
-
-if NUMBA_ENABLED:
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover
-        NUMBA_ENABLED = False
+# float64s per AdamW block: 256 KiB per array, so one block of p, g, m, v and
+# the two scratch arrays (1.5 MiB) stays in cache across the update's dozen
+# elementwise passes instead of streaming every full array from memory per pass
+ADAMW_BLOCK = 32768
 
 
-# ---------------------------------------------------------------------------
-# pure numpy implementations
-
-def _sigmoid_np(x: np.ndarray) -> np.ndarray:
+def sigmoid(x: np.ndarray) -> np.ndarray:
     out = np.empty_like(x, dtype=np.float64)
     pos = x >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
@@ -36,7 +23,7 @@ def _sigmoid_np(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _head_forward_np(H, W1, b1, w2, b2):
+def head_forward(H, W1, b1, w2, b2):
     """Batch forward through one regression head (no dropout).
 
     H: (n, d) inputs; W1: (hidden, d); b1: (hidden,); w2: (hidden,); b2: scalar.
@@ -47,7 +34,7 @@ def _head_forward_np(H, W1, b1, w2, b2):
     return A1, Z2
 
 
-def _head_backward_np(dZ2, H, A1, W1, w2):
+def head_backward(dZ2, H, A1, W1, w2):
     """Gradients of one head given dL/dZ2.
 
     Returns (dW1, db1, dw2, db2, dH).
@@ -62,111 +49,47 @@ def _head_backward_np(dZ2, H, A1, W1, w2):
     return dW1, db1, dw2, db2, dH
 
 
-def _adamw_update_np(p, g, m, v, lr, beta1, beta2, eps, weight_decay, t):
-    """In-place decoupled-weight-decay Adam step on flat float64 arrays."""
-    m *= beta1
-    m += (1.0 - beta1) * g
-    v *= beta2
-    v += (1.0 - beta2) * g * g
-    mhat = m / (1.0 - beta1**t)
-    vhat = v / (1.0 - beta2**t)
-    p -= lr * (mhat / (np.sqrt(vhat) + eps) + weight_decay * p)
+def adamw_update(p, g, m, v, lr, beta1, beta2, eps, weight_decay, t):
+    """In-place decoupled-weight-decay Adam step on C-contiguous float64 arrays.
 
+    Walks the arrays in blocks of ADAMW_BLOCK elements and applies, per block,
+    the operations of
 
-def _sq_err_sum_np(pred_v, pred_a, gold_v, gold_a):
-    dv = pred_v - gold_v
-    da = pred_a - gold_a
-    return float(np.sum(dv * dv) + np.sum(da * da))
+        m = beta1*m + (1-beta1)*g;  v = beta2*v + ((1-beta2)*g)*g
+        p -= lr * ((m/c1) / (sqrt(v/c2) + eps) + weight_decay*p)
 
-
-# ---------------------------------------------------------------------------
-# numba implementations
-
-if NUMBA_ENABLED:
-
-    @njit(cache=True)
-    def _sigmoid_nb(x):
-        out = np.empty_like(x)
-        for i in range(x.size):
-            xi = x.flat[i]
-            if xi >= 0.0:
-                out.flat[i] = 1.0 / (1.0 + np.exp(-xi))
-            else:
-                e = np.exp(xi)
-                out.flat[i] = e / (1.0 + e)
-        return out
-
-    @njit(cache=True)
-    def _head_forward_nb(H, W1, b1, w2, b2):
-        # matmuls go through BLAS; bias/tanh/output passes are fused loops
-        n = H.shape[0]
-        hidden = W1.shape[0]
-        A1 = np.dot(H, W1.T)
-        Z2 = np.empty(n)
-        for i in range(n):
-            z2 = b2
-            for j in range(hidden):
-                a = np.tanh(A1[i, j] + b1[j])
-                A1[i, j] = a
-                z2 += w2[j] * a
-            Z2[i] = z2
-        return A1, Z2
-
-    @njit(cache=True)
-    def _head_backward_nb(dZ2, H, A1, W1, w2):
-        n = H.shape[0]
-        hidden = W1.shape[0]
-        dw2 = np.zeros(hidden)
-        db1 = np.zeros(hidden)
-        db2 = 0.0
-        dZ1 = np.empty((n, hidden))
-        for i in range(n):
-            g2 = dZ2[i]
-            db2 += g2
-            for j in range(hidden):
-                a = A1[i, j]
-                dw2[j] += a * g2
-                dz1 = g2 * w2[j] * (1.0 - a * a)
-                dZ1[i, j] = dz1
-                db1[j] += dz1
-        dW1 = np.dot(dZ1.T, H)
-        dH = np.dot(dZ1, W1)
-        return dW1, db1, dw2, db2, dH
-
-    @njit(cache=True)
-    def _adamw_update_nb(p, g, m, v, lr, beta1, beta2, eps, weight_decay, t):
-        c1 = 1.0 - beta1**t
-        c2 = 1.0 - beta2**t
-        for i in range(p.size):
-            gi = g.flat[i]
-            m.flat[i] = beta1 * m.flat[i] + (1.0 - beta1) * gi
-            v.flat[i] = beta2 * v.flat[i] + (1.0 - beta2) * gi * gi
-            mhat = m.flat[i] / c1
-            vhat = v.flat[i] / c2
-            p.flat[i] -= lr * (mhat / (np.sqrt(vhat) + eps) + weight_decay * p.flat[i])
-
-    @njit(cache=True)
-    def _sq_err_sum_nb(pred_v, pred_a, gold_v, gold_a):
-        total = 0.0
-        for i in range(pred_v.size):
-            dv = pred_v[i] - gold_v[i]
-            da = pred_a[i] - gold_a[i]
-            total += dv * dv + da * da
-        return total
-
-
-if NUMBA_ENABLED:
-    sigmoid = _sigmoid_nb
-    head_forward = _head_forward_nb
-    head_backward = _head_backward_nb
-    adamw_update = _adamw_update_nb
-    sq_err_sum = _sq_err_sum_nb
-else:
-    sigmoid = _sigmoid_np
-    head_forward = _head_forward_np
-    head_backward = _head_backward_np
-    adamw_update = _adamw_update_np
-    sq_err_sum = _sq_err_sum_np
+    in that order and with the same roundings, so the result is bit-identical
+    to the whole-array formula.
+    """
+    for x in (p, m, v):
+        if not x.flags.c_contiguous:
+            raise ValueError("adamw_update needs C-contiguous p, m and v")
+    c1 = 1.0 - beta1**t
+    c2 = 1.0 - beta2**t
+    pf, gf, mf, vf = p.reshape(-1), g.reshape(-1), m.reshape(-1), v.reshape(-1)
+    n = pf.size
+    scratch_a = np.empty(min(n, ADAMW_BLOCK))
+    scratch_b = np.empty(min(n, ADAMW_BLOCK))
+    for start in range(0, n, ADAMW_BLOCK):
+        end = min(start + ADAMW_BLOCK, n)
+        pb, gb, mb, vb = pf[start:end], gf[start:end], mf[start:end], vf[start:end]
+        a, b = scratch_a[: end - start], scratch_b[: end - start]
+        mb *= beta1
+        np.multiply(gb, 1.0 - beta1, out=a)
+        mb += a
+        vb *= beta2
+        np.multiply(gb, 1.0 - beta2, out=a)
+        a *= gb
+        vb += a
+        np.divide(mb, c1, out=a)  # mhat
+        np.divide(vb, c2, out=b)  # vhat
+        np.sqrt(b, out=b)
+        b += eps
+        a /= b
+        np.multiply(pb, weight_decay, out=b)
+        a += b
+        a *= lr
+        pb -= a
 
 
 def sigmoid_scalar(x: float) -> float:
@@ -180,7 +103,8 @@ def global_grad_norm(grads) -> float:
     """L2 norm over a collection of gradient arrays."""
     total = 0.0
     for g in grads:
-        total += float(np.sum(np.asarray(g, dtype=np.float64) ** 2))
+        f = np.reshape(np.asarray(g, dtype=np.float64), -1)
+        total += float(np.dot(f, f))
     return float(np.sqrt(total))
 
 

@@ -41,6 +41,7 @@ class EvalReport:
     error_median: float
     frac_below_1: float
     frac_above_2: float
+    heatmap: Optional[HeatmapGrid] = None  # set by score_files; not part of to_dict
 
     def to_dict(self) -> dict:
         return {
@@ -150,8 +151,8 @@ def full_report(preds: Sequence[VAPair], golds: Sequence[VAPair]) -> EvalReport:
     )
 
 
-def score_files(gold_path, pred_path, gold_format: str = "simple_jsonl") -> EvalReport:
-    """Official-scorer-style entry point: gold dataset file vs prediction file.
+def paired_from_files(gold_path, pred_path, gold_format: str = "simple_jsonl"):
+    """(preds, golds, instances) aligned lists from one parse of each file.
 
     Predictions are matched to gold instances on (sentence_id, aspect_index);
     every gold instance must have exactly one prediction.
@@ -169,19 +170,19 @@ def score_files(gold_path, pred_path, gold_format: str = "simple_jsonl") -> Eval
     if extra:
         raise MetricsError(f"predictions for unknown instances: {sorted(extra)[:10]}")
 
-    golds = [i.gold for i in instances]
-    preds = [pred_map[i.key] for i in instances]
-    return full_report(preds, golds)
-
-
-def paired_from_files(gold_path, pred_path, gold_format: str = "simple_jsonl"):
-    """(preds, golds, instances) aligned lists for heatmap/analysis commands."""
-    records = parse_dataset(gold_path, format=gold_format)
-    instances = [i for i in expand_instances(records) if i.gold is not None]
-    pred_map = read_predictions(pred_path)
-    missing = [i.key for i in instances if i.key not in pred_map]
-    if missing:
-        raise MetricsError(f"missing predictions for {len(missing)} instances: {missing[:10]}")
     preds = [pred_map[i.key] for i in instances]
     golds = [i.gold for i in instances]
     return preds, golds, instances
+
+
+def score_files(gold_path, pred_path, gold_format: str = "simple_jsonl",
+                edges=DEFAULT_EDGES) -> EvalReport:
+    """Official-scorer-style entry point: gold dataset file vs prediction file.
+
+    The report carries the error heatmap over `edges` on both axes, built from
+    the same aligned pairs (see paired_from_files).
+    """
+    preds, golds, _ = paired_from_files(gold_path, pred_path, gold_format=gold_format)
+    report = full_report(preds, golds)
+    report.heatmap = va_heatmap(preds, golds, edges, edges)
+    return report

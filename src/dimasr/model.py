@@ -300,8 +300,13 @@ class DimASRModel:
         scaled = scale_to_va(raw)
         return [VAPair(float(v), float(a)) for v, a in scaled]
 
-    def loss_and_grads(self, batch: Sequence[AspectInstance], rng: np.random.Generator):
-        """Training-mode forward/backward. Returns (loss, grads, preds array (n,2))."""
+    def loss_and_grads(self, batch: Sequence[AspectInstance], rng: np.random.Generator,
+                       grads: dict):
+        """Training-mode forward/backward. Returns (loss, grads, preds array (n,2)).
+
+        `grads` is a buffer shaped like parameters(); it is zeroed and filled in
+        place, so a training loop reuses one across steps.
+        """
         golds = []
         for inst in batch:
             if inst.gold is None:
@@ -328,7 +333,8 @@ class DimASRModel:
         da = pred[:, 1] - gold[:, 1]
         loss = float(np.mean(dv**2) + np.mean(da**2))
 
-        grads = {k: np.zeros_like(v) for k, v in self.parameters().items()}
+        for g in grads.values():
+            g.fill(0.0)
         dzv = (2.0 / n) * dv * 8.0 * sv * (1.0 - sv)
         dza = (2.0 / n) * da * 8.0 * sa * (1.0 - sa)
         dHd = self.head_v.backward(dzv, cache_v, grads, "head_v")

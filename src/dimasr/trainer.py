@@ -68,6 +68,9 @@ class EpochRecord:
     epoch: int
     train_loss: float
     val_rmse_va: float
+    grad_norm_mean: float  # pre-clip global gradient norm over the epoch's steps
+    grad_norm_max: float
+    clipped_frac: float  # share of the epoch's steps whose norm exceeded the clip
 
 
 @dataclass
@@ -77,10 +80,7 @@ class TrainHistory:
     stopped_early: bool = False
 
     def to_rows(self) -> list:
-        return [
-            {"epoch": r.epoch, "train_loss": r.train_loss, "val_rmse_va": r.val_rmse_va}
-            for r in self.records
-        ]
+        return [asdict(r) for r in self.records]
 
 
 class EarlyStopper:
@@ -191,6 +191,7 @@ def fit(
     total_steps = config.max_epochs * steps_per_epoch
     params = model.parameters()
     optimizer = AdamW(params, config)
+    grads = {k: np.zeros_like(v) for k, v in params.items()}
     dropout_rng = _substream(config.seed, "dropout")
     stopper = EarlyStopper(config.patience, config.min_delta)
     history = TrainHistory()
@@ -200,10 +201,11 @@ def fit(
     for epoch in range(1, config.max_epochs + 1):
         order = _substream(config.seed, "shuffle", epoch).permutation(len(fit_set))
         epoch_loss = 0.0
+        norms = []
         for start in range(0, len(fit_set), config.batch_size):
             batch = [fit_set[i] for i in order[start : start + config.batch_size]]
             try:
-                loss, grads, _ = model.loss_and_grads(batch, dropout_rng)
+                loss, _, _ = model.loss_and_grads(batch, dropout_rng, grads)
             except ModelError as exc:
                 raise TrainerError(str(exc)) from exc
             if not np.isfinite(loss):
@@ -211,7 +213,7 @@ def fit(
                     f"non-finite loss {loss} at epoch {epoch}, step {step} "
                     f"(batch keys {[b.key for b in batch[:3]]}...)"
                 )
-            kernels.clip_gradients(list(grads.values()), config.grad_clip_norm)
+            norms.append(kernels.clip_gradients(list(grads.values()), config.grad_clip_norm))
             step += 1
             optimizer.step(grads, lr_at(step, total_steps, config))
             epoch_loss += loss * len(batch)
@@ -220,6 +222,9 @@ def fit(
             epoch=epoch,
             train_loss=epoch_loss / len(fit_set),
             val_rmse_va=evaluate_rmse(model, val_set),
+            grad_norm_mean=float(np.mean(norms)),
+            grad_norm_max=max(norms),
+            clipped_frac=sum(n > config.grad_clip_norm for n in norms) / len(norms),
         )
         history.records.append(record)
         if epoch_callback is not None:

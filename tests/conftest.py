@@ -31,5 +31,10 @@ def sixteen_instances():
     return make_instances(16, seed=7)
 
 
+def zero_grads(model):
+    """A gradient buffer for model.loss_and_grads."""
+    return {k: np.zeros_like(v) for k, v in model.parameters().items()}
+
+
 def random_pairs(rng, n):
     return [VAPair(float(v), float(a)) for v, a in rng.uniform(1.0, 9.0, size=(n, 2))]

@@ -85,7 +85,11 @@ class TestTrain:
         history = json.loads((out / "history.json").read_text())
         assert history["best_epoch"] >= 1
         assert "best epoch" in result.output
-        assert (out / "history.tsv").read_text().startswith("epoch\ttrain_loss\tval_rmse_va")
+        tsv = (out / "history.tsv").read_text().splitlines()
+        assert tsv[0].startswith("epoch\ttrain_loss\tval_rmse_va")
+        assert tsv[0].endswith("\tgrad_norm_mean\tgrad_norm_max\tclipped_frac")
+        assert len(tsv) == len(history["records"]) + 1
+        assert {"grad_norm_mean", "grad_norm_max", "clipped_frac"} <= set(history["records"][0])
 
     def test_echoes_reference_defaults(self, runner, prepared, tmp_path):
         cfg_path = tmp_path / "cfg.yaml"
@@ -180,6 +184,16 @@ class TestEvaluate:
                                       "--pred", str(pred), "--out", str(tmp_path / "e")])
         assert result.exit_code == 2
         assert "g5" in result.output
+
+    def test_malformed_prediction_exit_code(self, runner, tmp_path):
+        pred = tmp_path / "null.jsonl"
+        lines = (FIXTURES / "pred_5.jsonl").read_text().strip().split("\n")
+        broken = dict(json.loads(lines[2]), va=None)
+        pred.write_text("\n".join(lines[:2] + [json.dumps(broken)] + lines[3:]) + "\n")
+        result = runner.invoke(main, ["evaluate", "--gold", str(FIXTURES / "gold_5.jsonl"),
+                                      "--pred", str(pred), "--out", str(tmp_path / "e")])
+        assert result.exit_code == 2
+        assert f"{pred}:3: expected a \"V#A\" string" in result.output
 
 
 class TestLlmBaseline:

@@ -14,6 +14,7 @@ from dimasr.data import (
     parse_dataset,
     parse_va_string,
     read_instances,
+    read_predictions,
     split_dev_protocol,
     write_instances,
 )
@@ -220,6 +221,48 @@ class TestInstanceIo:
         path = tmp_path / "inst.jsonl"
         write_instances(instances, path)
         assert read_instances(path) == instances
+
+
+def _write_lines(path, objs):
+    path.write_text("".join(json.dumps(o) + "\n" for o in objs))
+    return path
+
+
+GOOD_INSTANCE = {"id": "s1", "aspect_index": 0, "text": "fine food", "aspect": "food",
+                 "va": "6.00#5.00"}
+GOOD_PREDICTION = {"id": "s1", "aspect": "food", "aspect_index": 0, "va": "6.00#5.00"}
+
+
+class TestMalformedLines:
+    """Each reader names the file and line of a malformed record."""
+
+    def test_instance_without_aspect_index(self, tmp_path):
+        bad = {k: v for k, v in GOOD_INSTANCE.items() if k != "aspect_index"}
+        path = _write_lines(tmp_path / "inst.jsonl", [GOOD_INSTANCE, bad])
+        with pytest.raises(DataError, match=r"inst\.jsonl:2: missing field 'aspect_index'"):
+            read_instances(path)
+
+    @pytest.mark.parametrize("value", ["first", "3", 1.7, 3.0, float("inf"), True, None])
+    def test_instance_with_non_integer_aspect_index(self, tmp_path, value):
+        path = _write_lines(tmp_path / "inst.jsonl", [dict(GOOD_INSTANCE, aspect_index=value)])
+        with pytest.raises(DataError, match=r"inst\.jsonl:1: aspect_index must be an integer"):
+            read_instances(path)
+
+    def test_prediction_with_fractional_aspect_index(self, tmp_path):
+        path = _write_lines(tmp_path / "pred.jsonl", [dict(GOOD_PREDICTION, aspect_index=1.7)])
+        with pytest.raises(DataError, match=r"pred\.jsonl:1: aspect_index must be an integer, got 1\.7"):
+            read_predictions(path)
+
+    def test_prediction_with_null_va(self, tmp_path):
+        path = _write_lines(tmp_path / "pred.jsonl", [dict(GOOD_PREDICTION, va=None)])
+        with pytest.raises(DataError, match=r"pred\.jsonl:1: expected a \"V#A\" string, got None"):
+            read_predictions(path)
+
+    def test_prediction_without_aspect_index(self, tmp_path):
+        bad = {k: v for k, v in GOOD_PREDICTION.items() if k != "aspect_index"}
+        path = _write_lines(tmp_path / "pred.jsonl", [GOOD_PREDICTION, bad])
+        with pytest.raises(DataError, match=r"pred\.jsonl:2: missing field 'aspect_index'"):
+            read_predictions(path)
 
 
 def test_count_aspect_duplicates():

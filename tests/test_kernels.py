@@ -1,30 +1,39 @@
-"""Both kernel paths must agree: compare the selected implementation against
-the pure-numpy reference directly."""
+"""Kernels against plain references: explicit loops for the head passes and
+the whole-array AdamW formula the blocked update must reproduce bit for bit."""
+
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dimasr import kernels
-from dimasr.kernels import (
-    _adamw_update_np,
-    _head_backward_np,
-    _head_forward_np,
-    _sigmoid_np,
-    _sq_err_sum_np,
-    clip_gradients,
-    global_grad_norm,
-)
+from dimasr.data import expand_instances, parse_dataset, split_dev_protocol
+from dimasr.kernels import clip_gradients, global_grad_norm
+from dimasr.model import DimASRModel, TinyEncoder
+from dimasr.trainer import TrainConfig, fit
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 rng = np.random.default_rng(123)
 
 
-def test_selected_path_reported():
-    assert isinstance(kernels.NUMBA_ENABLED, bool)
+def adamw_oracle(p, g, m, v, lr, beta1, beta2, eps, weight_decay, t):
+    """The unblocked whole-array AdamW step, verbatim from before blocking."""
+    m *= beta1
+    m += (1.0 - beta1) * g
+    v *= beta2
+    v += (1.0 - beta2) * g * g
+    mhat = m / (1.0 - beta1**t)
+    vhat = v / (1.0 - beta2**t)
+    p -= lr * (mhat / (np.sqrt(vhat) + eps) + weight_decay * p)
 
 
 def test_sigmoid_matches_reference():
     x = rng.normal(scale=10, size=200)
-    np.testing.assert_allclose(kernels.sigmoid(x), _sigmoid_np(x), rtol=0, atol=1e-14)
+    ref = [1.0 / (1.0 + math.exp(-xi)) if xi >= 0 else math.exp(xi) / (1.0 + math.exp(xi))
+           for xi in x]
+    np.testing.assert_allclose(kernels.sigmoid(x), ref, rtol=0, atol=1e-14)
 
 
 def test_sigmoid_extremes_stable():
@@ -42,37 +51,78 @@ def test_head_forward_backward_match_reference():
     w2 = rng.normal(size=hidden)
     b2 = float(rng.normal())
     A1, Z2 = kernels.head_forward(H, W1, b1, w2, b2)
-    A1r, Z2r = _head_forward_np(H, W1, b1, w2, b2)
+    A1r = np.array([[math.tanh(sum(H[i, k] * W1[j, k] for k in range(d)) + b1[j])
+                     for j in range(hidden)] for i in range(n)])
+    Z2r = np.array([sum(A1r[i, j] * w2[j] for j in range(hidden)) + b2 for i in range(n)])
     np.testing.assert_allclose(A1, A1r, atol=1e-12)
     np.testing.assert_allclose(Z2, Z2r, atol=1e-12)
 
     dZ2 = rng.normal(size=n)
-    got = kernels.head_backward(dZ2, H, A1, W1, w2)
-    ref = _head_backward_np(dZ2, H, A1r, W1, w2)
-    for g, r in zip(got, ref):
-        np.testing.assert_allclose(g, r, atol=1e-10)
+    dW1, db1, dw2, db2, dH = kernels.head_backward(dZ2, H, A1, W1, w2)
+    dZ1 = np.array([[dZ2[i] * w2[j] * (1.0 - A1r[i, j] ** 2) for j in range(hidden)]
+                    for i in range(n)])
+    np.testing.assert_allclose(dw2, [sum(A1r[i, j] * dZ2[i] for i in range(n))
+                                     for j in range(hidden)], atol=1e-10)
+    assert db2 == pytest.approx(sum(dZ2), abs=1e-10)
+    np.testing.assert_allclose(db1, dZ1.sum(axis=0), atol=1e-10)
+    np.testing.assert_allclose(dW1, [[sum(dZ1[i, j] * H[i, k] for i in range(n))
+                                      for k in range(d)] for j in range(hidden)], atol=1e-10)
+    np.testing.assert_allclose(dH, [[sum(dZ1[i, j] * W1[j, k] for j in range(hidden))
+                                     for k in range(d)] for i in range(n)], atol=1e-10)
 
 
 def test_adamw_matches_reference():
-    p1 = rng.normal(size=50)
-    p2 = p1.copy()
-    g = rng.normal(size=50)
-    m1, v1 = np.zeros(50), np.zeros(50)
-    m2, v2 = np.zeros(50), np.zeros(50)
-    for t in range(1, 6):
-        kernels.adamw_update(p1, g, m1, v1, 1e-3, 0.9, 0.999, 1e-8, 0.01, t)
-        _adamw_update_np(p2, g, m2, v2, 1e-3, 0.9, 0.999, 1e-8, 0.01, t)
-    np.testing.assert_allclose(p1, p2, atol=1e-14)
+    # sizes on both sides of the block boundary, and a 2-D array
+    block = kernels.ADAMW_BLOCK
+    for shape in [(1,), (block - 1,), (block,), (block + 1,), (300, 257)]:
+        for weight_decay in (0.0, 0.01):
+            p = rng.normal(size=shape)
+            new = (p.copy(), np.zeros(shape), np.zeros(shape))
+            old = (p.copy(), np.zeros(shape), np.zeros(shape))
+            for t in range(1, 6):
+                g = rng.normal(size=shape)
+                hyper = (1e-3, 0.9, 0.999, 1e-8, weight_decay, t)
+                kernels.adamw_update(new[0], g, new[1], new[2], *hyper)
+                adamw_oracle(old[0], g, old[1], old[2], *hyper)
+                for got, want in zip(new, old):  # p, m, v
+                    assert np.array_equal(got, want), (shape, weight_decay, t)
 
 
-def test_sq_err_sum_matches_reference():
-    a, b, c, d = (rng.uniform(1, 9, size=40) for _ in range(4))
-    assert kernels.sq_err_sum(a, b, c, d) == pytest.approx(_sq_err_sum_np(a, b, c, d), abs=1e-10)
+def test_adamw_rejects_non_contiguous():
+    p = np.zeros((4, 4))[:, ::2]
+    with pytest.raises(ValueError, match="contiguous"):
+        kernels.adamw_update(p, np.ones_like(p), np.zeros_like(p), np.zeros_like(p),
+                             1e-3, 0.9, 0.999, 1e-8, 0.0, 1)
+
+
+def _smoke_fit():
+    """configs/smoke.yaml's encoder and training settings on the tiny fixture."""
+    instances = expand_instances(parse_dataset(FIXTURES / "tiny_dataset.jsonl"))
+    split = split_dev_protocol(instances, ratio=0.8, seed=42)
+    model = DimASRModel(TinyEncoder(dim=32, vocab_size=4096, seed=0), seed=42,
+                        input_dropout_rate=0.0, head_dropout_rate=0.0)
+    config = TrainConfig(batch_size=16, learning_rate=0.01, dropout=0.0,
+                         max_epochs=5, patience=5, seed=42)
+    return fit(model, list(split.train), list(split.eval), config)
+
+
+def test_fit_matches_unblocked_adamw(monkeypatch):
+    model, history = _smoke_fit()
+    with monkeypatch.context() as patch:
+        patch.setattr(kernels, "adamw_update", adamw_oracle)
+        ref_model, ref_history = _smoke_fit()
+    assert history.to_rows() == ref_history.to_rows()
+    assert any(r["clipped_frac"] > 0 for r in history.to_rows())
+    params, ref_params = model.parameters(), ref_model.parameters()
+    assert params.keys() == ref_params.keys()
+    for name in params:
+        assert np.array_equal(params[name], ref_params[name]), name
 
 
 def test_clip_gradients():
     grads = [rng.normal(size=(4, 4)), rng.normal(size=7)]
     pre = global_grad_norm(grads)
+    assert pre == pytest.approx(math.sqrt(sum(x * x for g in grads for x in g.flat)), rel=1e-14)
     returned = clip_gradients(grads, 1.0)
     assert returned == pytest.approx(pre)
     assert global_grad_norm(grads) <= 1.0 + 1e-6

@@ -16,7 +16,7 @@ from dimasr.model import (
     save_checkpoint,
     scale_to_va,
 )
-from .conftest import make_instances
+from .conftest import make_instances, zero_grads
 
 
 @pytest.fixture
@@ -120,7 +120,7 @@ class TestForward:
     def test_missing_gold_rejected(self, tiny_model):
         inst = AspectInstance("x", 0, "text", "aspect", None)
         with pytest.raises(ModelError, match="gold"):
-            tiny_model.loss_and_grads([inst], np.random.default_rng(0))
+            tiny_model.loss_and_grads([inst], np.random.default_rng(0), zero_grads(tiny_model))
 
 
 def head_gradient_check(d, seed, internal_dropout=False):
@@ -180,7 +180,8 @@ class TestGradients:
         model = DimASRModel(enc, seed=2, input_dropout_rate=0.0, head_dropout_rate=0.0)
         batch = make_instances(3, seed=5)
         rng = np.random.default_rng(0)
-        loss, grads, _ = model.loss_and_grads(batch, rng)
+        loss, grads, _ = model.loss_and_grads(batch, rng, zero_grads(model))
+        scratch = zero_grads(model)
         params = model.parameters()
         eps = 1e-5
         for name in ("encoder.W", "head_v.W1", "head_a.w2", "encoder.emb"):
@@ -192,9 +193,9 @@ class TestGradients:
                 idx = (used, 0)
             orig = p[idx]
             p[idx] = orig + eps
-            up, _, _ = model.loss_and_grads(batch, np.random.default_rng(0))
+            up, _, _ = model.loss_and_grads(batch, np.random.default_rng(0), scratch)
             p[idx] = orig - eps
-            down, _, _ = model.loss_and_grads(batch, np.random.default_rng(0))
+            down, _, _ = model.loss_and_grads(batch, np.random.default_rng(0), scratch)
             p[idx] = orig
             numeric = (up - down) / (2 * eps)
             assert grads[name][idx] == pytest.approx(numeric, rel=1e-4, abs=1e-8)

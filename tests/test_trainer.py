@@ -15,7 +15,7 @@ from dimasr.trainer import (
     lr_at,
     train_all,
 )
-from .conftest import make_instances
+from .conftest import make_instances, zero_grads
 
 
 def smoke_config(**overrides):
@@ -164,6 +164,16 @@ class TestFit:
         want = best.predict_raw(sixteen_instances)
         np.testing.assert_array_equal(got, want)
 
+    def test_records_clip_statistics(self, sixteen_instances):
+        cfg = smoke_config(batch_size=4)  # four steps per epoch
+        _, history = fit(tiny_model(), sixteen_instances, sixteen_instances, cfg)
+        for record in history.records:
+            assert 0.0 <= record.clipped_frac <= 1.0
+            assert (record.clipped_frac * 4).is_integer()
+            assert record.grad_norm_max >= record.grad_norm_mean > 0.0
+        # the first epoch's norms straddle the clip: 3 of its 4 steps are clipped
+        assert history.records[0].clipped_frac == 0.75
+
     def test_empty_val_rejected(self, sixteen_instances):
         with pytest.raises(TrainerError, match="validation"):
             fit(tiny_model(), sixteen_instances, [], smoke_config())
@@ -192,7 +202,7 @@ class TestClipIntegration:
 
         model = tiny_model()
         rng = np.random.default_rng(0)
-        _, grads, _ = model.loss_and_grads(sixteen_instances, rng)
+        _, grads, _ = model.loss_and_grads(sixteen_instances, rng, zero_grads(model))
         kernels.clip_gradients(list(grads.values()), 1.0)
         assert kernels.global_grad_norm(grads.values()) <= 1.0 + 1e-6
 
