@@ -216,15 +216,12 @@ def train(config_path, seed, out):
 @click.option("--checkpoint", required=True, type=click.Path(exists=True))
 @click.option("--instances", "instances_path", required=True, type=click.Path(exists=True))
 @click.option("--out", required=True, type=click.Path())
-@click.option("--batch-size", default=64, show_default=True)
 @handle_errors
-def predict(checkpoint, instances_path, out, batch_size):
+def predict(checkpoint, instances_path, out):
     """Eval-mode predictions for an instance file; writes predictions.jsonl."""
     model = load_checkpoint(checkpoint)
     instances = data_mod.read_instances(instances_path)
-    pairs = []
-    for start in range(0, len(instances), batch_size):
-        pairs.extend(model.predict_pairs(instances[start : start + batch_size]))
+    pairs = model.predict_pairs(instances) if instances else []
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
     pred_path = out_dir / "predictions.jsonl"

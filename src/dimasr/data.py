@@ -3,9 +3,10 @@
 Two on-disk layouts are supported:
 
 * ``task_json``: one JSON array of sentence objects, each with an id, a text,
-  and a list of per-aspect annotations carrying "V#A" strings. Field names
-  are adapter-mapped (see DEFAULT_FIELD_MAP) so official files with slightly
-  different keys can be read without code changes.
+  and a list of per-aspect annotations carrying "V#A" strings. Each field is
+  read from the first of its key aliases in DEFAULT_FIELD_MAP that is present,
+  so official files whose keys differ ("ID"/"id", "Aspect_VA"/"Quadruplet")
+  are read as they are.
 * ``simple_jsonl``: one sentence object per line:
   ``{"id": ..., "text": ..., "aspects": [{"aspect": ..., "va": "V#A"|null}]}``
 
@@ -17,7 +18,6 @@ between the two sides.
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence
@@ -115,27 +115,27 @@ DEFAULT_FIELD_MAP = {
 FORMATS = ("task_json", "simple_jsonl")
 
 
-def _pick(obj: Mapping, field: str, field_map: Mapping, where: str):
-    for key in field_map[field]:
+def _pick(obj: Mapping, field: str, where: str):
+    for key in DEFAULT_FIELD_MAP[field]:
         if key in obj:
             return obj[key]
-    raise DataError(f"{where}: none of {field_map[field]} present")
+    raise DataError(f"{where}: none of {DEFAULT_FIELD_MAP[field]} present")
 
 
-def _record_from_obj(obj, where: str, field_map: Mapping) -> SentenceRecord:
+def _record_from_obj(obj, where: str) -> SentenceRecord:
     if not isinstance(obj, dict):
         raise DataError(f"{where}: expected an object, got {type(obj).__name__}")
-    rid = str(_pick(obj, "id", field_map, where))
-    text = _pick(obj, "text", field_map, where)
-    raw_aspects = _pick(obj, "aspect_list", field_map, where)
+    rid = str(_pick(obj, "id", where))
+    text = _pick(obj, "text", where)
+    raw_aspects = _pick(obj, "aspect_list", where)
     if not isinstance(raw_aspects, list) or not raw_aspects:
         raise DataError(f"{where}: record {rid!r} has an empty aspect list")
     aspects = []
     for entry in raw_aspects:
         if isinstance(entry, dict):
-            aspect = _pick(entry, "aspect", field_map, where)
+            aspect = _pick(entry, "aspect", where)
             va = None
-            for key in field_map["va"]:
+            for key in DEFAULT_FIELD_MAP["va"]:
                 if key in entry and entry[key] is not None:
                     va = entry[key]
                     break
@@ -153,11 +153,10 @@ def _record_from_obj(obj, where: str, field_map: Mapping) -> SentenceRecord:
     return SentenceRecord(rid, str(text), tuple(aspects))
 
 
-def parse_dataset(path, format: str = "simple_jsonl", field_map: Optional[Mapping] = None):
+def parse_dataset(path, format: str = "simple_jsonl"):
     """Parse a dataset file into SentenceRecords, preserving file order."""
     if format not in FORMATS:
         raise DataError(f"unknown format {format!r}, expected one of {FORMATS}")
-    field_map = dict(DEFAULT_FIELD_MAP, **(field_map or {}))
     path = Path(path)
     records = []
     seen = set()
@@ -171,7 +170,7 @@ def parse_dataset(path, format: str = "simple_jsonl", field_map: Optional[Mappin
                     obj = json.loads(line)
                 except json.JSONDecodeError as exc:
                     raise DataError(f"{path}:{lineno}: malformed JSON ({exc.msg})") from None
-                records.append(_record_from_obj(obj, f"{path}:{lineno}", field_map))
+                records.append(_record_from_obj(obj, f"{path}:{lineno}"))
     else:
         with path.open(encoding="utf-8") as fh:
             try:
@@ -181,7 +180,7 @@ def parse_dataset(path, format: str = "simple_jsonl", field_map: Optional[Mappin
         if not isinstance(data, list):
             raise DataError(f"{path}: task_json file must contain a JSON array")
         for idx, obj in enumerate(data):
-            records.append(_record_from_obj(obj, f"{path}[{idx}]", field_map))
+            records.append(_record_from_obj(obj, f"{path}[{idx}]"))
 
     for rec in records:
         if rec.id in seen:
@@ -244,28 +243,6 @@ def merge_and_hold_out(train, dev, holdout_fraction: float = 0.1, seed: int = 42
     merged = list(train) + list(dev)
     split = split_dev_protocol(merged, ratio=1.0 - holdout_fraction, seed=seed)
     return DatasetSplit(split.train, split.eval, seed=seed, ratio=1.0 - holdout_fraction)
-
-
-def dataset_stats(records_by_key: Mapping) -> list:
-    """Count sentences and instances per (language, domain, split) key.
-
-    Returns one row dict per key, sorted by key.
-    """
-    rows = []
-    for key in sorted(records_by_key):
-        records = records_by_key[key]
-        n_instances = sum(len(r.aspects) for r in records)
-        language, domain, split = key
-        rows.append(
-            {
-                "language": language,
-                "domain": domain,
-                "split": split,
-                "sentences": len(records),
-                "instances": n_instances,
-            }
-        )
-    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -352,14 +329,3 @@ def read_predictions(path) -> dict:
                 raise DataError(f"{path}:{lineno}: duplicate prediction for {key}")
             preds[key] = _line_va(obj["va"], path, lineno)
     return preds
-
-
-def count_aspect_duplicates(records) -> Counter:
-    """How often each aspect string repeats within a single sentence."""
-    dupes = Counter()
-    for rec in records:
-        counts = Counter(a for a, _ in rec.aspects)
-        for aspect, n in counts.items():
-            if n > 1:
-                dupes[aspect] += n - 1
-    return dupes

@@ -23,25 +23,29 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def head_forward(H, W1, b1, w2, b2):
-    """Batch forward through one regression head (no dropout).
+def head_forward(H, W1, b1, w2, b2, mask=None):
+    """Batch forward through one regression head.
 
-    H: (n, d) inputs; W1: (hidden, d); b1: (hidden,); w2: (hidden,); b2: scalar.
-    Returns (A1, Z2): tanh hidden activations (n, hidden) and raw outputs (n,).
+    H: (n, d) inputs; W1: (hidden, d); b1: (hidden,); w2: (hidden,); b2: scalar;
+    mask: optional (n, hidden) dropout mask, already scaled by 1/keep, applied
+    to the tanh activations before the output layer.
+    Returns (A1, Z2): unmasked tanh activations (n, hidden) and raw outputs (n,).
     """
     A1 = np.tanh(H @ W1.T + b1)
-    Z2 = A1 @ w2 + b2
+    Z2 = (A1 if mask is None else A1 * mask) @ w2 + b2
     return A1, Z2
 
 
-def head_backward(dZ2, H, A1, W1, w2):
-    """Gradients of one head given dL/dZ2.
+def head_backward(dZ2, H, A1, W1, w2, mask=None):
+    """Gradients of one head given dL/dZ2, with the forward pass's dropout mask.
 
     Returns (dW1, db1, dw2, db2, dH).
     """
-    dw2 = A1.T @ dZ2
+    dw2 = (A1 if mask is None else A1 * mask).T @ dZ2
     db2 = float(np.sum(dZ2))
     dA1 = np.outer(dZ2, w2)
+    if mask is not None:
+        dA1 *= mask
     dZ1 = dA1 * (1.0 - A1 * A1)
     dW1 = dZ1.T @ H
     db1 = dZ1.sum(axis=0)
@@ -90,13 +94,6 @@ def adamw_update(p, g, m, v, lr, beta1, beta2, eps, weight_decay, t):
         a += b
         a *= lr
         pb -= a
-
-
-def sigmoid_scalar(x: float) -> float:
-    if x >= 0.0:
-        return 1.0 / (1.0 + float(np.exp(-x)))
-    e = float(np.exp(x))
-    return e / (1.0 + e)
 
 
 def global_grad_norm(grads) -> float:

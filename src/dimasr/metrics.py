@@ -17,7 +17,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .data import (
-    DataError,
     VAPair,
     expand_instances,
     parse_dataset,
@@ -106,32 +105,22 @@ def error_distribution(errors: Sequence[float]):
     return median, float(np.mean(e < 1.0)), float(np.mean(e > 2.0))
 
 
-def _bin_index(value: float, edges: Sequence[float]) -> int:
-    """Left-closed right-open bins; the last bin is closed at its right edge."""
-    if value >= edges[-1]:
-        return len(edges) - 2
-    idx = int(np.searchsorted(edges, value, side="right")) - 1
-    return max(idx, 0)
-
-
 def va_heatmap(preds, golds, v_edges=DEFAULT_EDGES, a_edges=DEFAULT_EDGES) -> HeatmapGrid:
     for edges in (v_edges, a_edges):
         if len(edges) < 2 or any(edges[i] >= edges[i + 1] for i in range(len(edges) - 1)):
             raise MetricsError(f"bin edges must be strictly ascending, got {edges}")
     p, g = _as_arrays(preds, golds)
-    nv, na = len(v_edges) - 1, len(a_edges) - 1
-    sq = [[[] for _ in range(na)] for _ in range(nv)]
-    for k in range(len(g)):
-        i = _bin_index(g[k, 0], v_edges)
-        j = _bin_index(g[k, 1], a_edges)
-        sq[i][j].append(float(np.sum((p[k] - g[k]) ** 2)))
+    sq = np.sum((p - g) ** 2, axis=1)
+    # left-closed right-open bins; values at or past the last edge go to the last bin
+    vi = np.clip(np.searchsorted(v_edges, g[:, 0], side="right") - 1, 0, len(v_edges) - 2)
+    ai = np.clip(np.searchsorted(a_edges, g[:, 1], side="right") - 1, 0, len(a_edges) - 2)
     cells = []
-    for i in range(nv):
+    for i in range(len(v_edges) - 1):
         row = []
-        for j in range(na):
-            members = sq[i][j]
-            rmse = float(np.sqrt(np.mean(members))) if members else None
-            row.append({"rmse": rmse, "count": len(members)})
+        for j in range(len(a_edges) - 1):
+            members = sq[(vi == i) & (ai == j)]
+            rmse = float(np.sqrt(np.mean(members))) if members.size else None
+            row.append({"rmse": rmse, "count": int(members.size)})
         cells.append(row)
     return HeatmapGrid(tuple(v_edges), tuple(a_edges), cells)
 

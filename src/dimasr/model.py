@@ -21,7 +21,6 @@ from __future__ import annotations
 import json
 import re
 import zlib
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -31,6 +30,7 @@ from . import kernels
 from .data import AspectInstance, VAPair
 
 CHECKPOINT_VERSION = 1
+PREDICT_BATCH = 64  # instances per eval-mode forward pass
 
 _TOKEN_RE = re.compile(r"\w+|[^\w\s]", re.UNICODE)
 
@@ -46,12 +46,9 @@ _SIG_HI = 1.0 - 2.0**-50
 
 
 def scale_to_va(raw):
-    """Map a raw head output onto the (1, 9) label scale: sigmoid(raw) * 8 + 1."""
-    if isinstance(raw, np.ndarray):
-        s = kernels.sigmoid(raw.astype(np.float64))
-        return np.clip(s, _SIG_LO, _SIG_HI) * 8.0 + 1.0
-    s = min(max(kernels.sigmoid_scalar(float(raw)), _SIG_LO), _SIG_HI)
-    return s * 8.0 + 1.0
+    """Map raw head outputs (a scalar or an array) onto the (1, 9) label scale:
+    sigmoid(raw) * 8 + 1."""
+    return np.clip(kernels.sigmoid(np.asarray(raw, np.float64)), _SIG_LO, _SIG_HI) * 8.0 + 1.0
 
 
 def build_input(text: str, aspect: str, encoder) -> list:
@@ -222,29 +219,17 @@ class RegressionHead:
 
     def forward(self, H: np.ndarray, train: bool = False, rng: Optional[np.random.Generator] = None):
         """Raw (pre-sigmoid) outputs for a batch. Returns (z2, cache)."""
-        A1, Z2 = kernels.head_forward(H, self.W1, self.b1, self.w2, float(self.b2[0]))
         mask = None
         if train and self.internal_dropout and self.dropout_rate > 0.0:
             keep = 1.0 - self.dropout_rate
-            mask = (rng.random(A1.shape) < keep) / keep
-            A1d = A1 * mask
-            Z2 = A1d @ self.w2 + self.b2[0]
+            mask = (rng.random((H.shape[0], self.hidden)) < keep) / keep
+        A1, Z2 = kernels.head_forward(H, self.W1, self.b1, self.w2, float(self.b2[0]), mask)
         return Z2, (H, A1, mask)
 
     def backward(self, dZ2: np.ndarray, cache, grads: dict, prefix: str) -> np.ndarray:
         """Accumulate parameter gradients; returns dL/dH."""
         H, A1, mask = cache
-        if mask is None:
-            dW1, db1, dw2, db2, dH = kernels.head_backward(dZ2, H, A1, self.W1, self.w2)
-        else:
-            A1d = A1 * mask
-            dw2 = A1d.T @ dZ2
-            db2 = float(np.sum(dZ2))
-            dA1 = np.outer(dZ2, self.w2) * mask
-            dZ1 = dA1 * (1.0 - A1 * A1)
-            dW1 = dZ1.T @ H
-            db1 = dZ1.sum(axis=0)
-            dH = dZ1 @ self.W1
+        dW1, db1, dw2, db2, dH = kernels.head_backward(dZ2, H, A1, self.W1, self.w2, mask)
         grads[f"{prefix}.W1"] += dW1
         grads[f"{prefix}.b1"] += db1
         grads[f"{prefix}.w2"] += dw2
@@ -286,19 +271,21 @@ class DimASRModel:
             keys = [inst.key for inst in batch]
             raise ModelError(f"encoder failed on batch {keys[:3]}...: {exc}") from exc
 
-    def predict_raw(self, batch: Sequence[AspectInstance]) -> np.ndarray:
-        """Eval-mode raw head outputs, shape (n, 2). Deterministic."""
-        if not batch:
+    def predict_raw(self, instances: Sequence[AspectInstance]) -> np.ndarray:
+        """Eval-mode raw head outputs, shape (n, 2), PREDICT_BATCH instances per
+        forward pass. Deterministic."""
+        if not instances:
             raise ModelError("batch must be non-empty")
-        H, _ = self._encode(batch)
-        zv, _ = self.head_v.forward(H, train=False)
-        za, _ = self.head_a.forward(H, train=False)
-        return np.stack([zv, za], axis=1)
+        chunks = []
+        for start in range(0, len(instances), PREDICT_BATCH):
+            H, _ = self._encode(instances[start : start + PREDICT_BATCH])
+            zv, _ = self.head_v.forward(H)
+            za, _ = self.head_a.forward(H)
+            chunks.append(np.stack([zv, za], axis=1))
+        return np.concatenate(chunks)
 
-    def predict_pairs(self, batch: Sequence[AspectInstance]) -> list:
-        raw = self.predict_raw(batch)
-        scaled = scale_to_va(raw)
-        return [VAPair(float(v), float(a)) for v, a in scaled]
+    def predict_pairs(self, instances: Sequence[AspectInstance]) -> list:
+        return [VAPair(float(v), float(a)) for v, a in scale_to_va(self.predict_raw(instances))]
 
     def loss_and_grads(self, batch: Sequence[AspectInstance], rng: np.random.Generator,
                        grads: dict):

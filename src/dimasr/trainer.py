@@ -17,7 +17,6 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import kernels
-from .data import VAPair
 from .metrics import rmse_va
 from .model import DimASRModel, ModelError
 
@@ -106,19 +105,6 @@ class EarlyStopper:
         return self.since_improvement >= self.patience
 
 
-def compute_loss(preds: Sequence[VAPair], golds: Sequence[VAPair]) -> float:
-    """Sum of the per-dimension batch MSEs."""
-    if len(preds) != len(golds):
-        raise TrainerError(f"length mismatch: {len(preds)} preds vs {len(golds)} golds")
-    if not preds:
-        raise TrainerError("empty batch")
-    pv = np.array([p.valence for p in preds])
-    pa = np.array([p.arousal for p in preds])
-    gv = np.array([g.valence for g in golds])
-    ga = np.array([g.arousal for g in golds])
-    return float(np.mean((pv - gv) ** 2) + np.mean((pa - ga) ** 2))
-
-
 def lr_at(step: int, total_steps: int, config: TrainConfig) -> float:
     """Piecewise-linear schedule: ramp to peak over the warmup steps, decay to 0."""
     if total_steps < 1:
@@ -157,14 +143,8 @@ class AdamW:
             )
 
 
-def evaluate_rmse(model: DimASRModel, instances, batch_size: int = 64) -> float:
-    preds = []
-    golds = []
-    for start in range(0, len(instances), batch_size):
-        chunk = instances[start : start + batch_size]
-        preds.extend(model.predict_pairs(chunk))
-        golds.extend(inst.gold for inst in chunk)
-    return rmse_va(preds, golds)
+def evaluate_rmse(model: DimASRModel, instances) -> float:
+    return rmse_va(model.predict_pairs(instances), [inst.gold for inst in instances])
 
 
 def fit(
@@ -241,21 +221,3 @@ def fit(
     if best_state is not None:
         model.load_state(best_state)
     return model, history
-
-
-def train_all(runs: Sequence[dict], run_one: Callable) -> dict:
-    """Run independent per-dataset trainings; isolate failures.
-
-    `runs` is a list of run descriptors (each at least carrying a "name");
-    `run_one(descriptor)` performs one training and returns its result.
-    Returns {"results": {name: result}, "failures": {name: message}}.
-    """
-    results = {}
-    failures = {}
-    for descriptor in runs:
-        name = descriptor["name"]
-        try:
-            results[name] = run_one(descriptor)
-        except Exception as exc:
-            failures[name] = f"{type(exc).__name__}: {exc}"
-    return {"results": results, "failures": failures}

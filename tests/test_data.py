@@ -6,8 +6,6 @@ from hypothesis import given, strategies as st
 from dimasr.data import (
     DataError,
     VAPair,
-    count_aspect_duplicates,
-    dataset_stats,
     expand_instances,
     format_va_string,
     merge_and_hold_out,
@@ -201,19 +199,6 @@ class TestMergeAndHoldOut:
         assert a.eval == b.eval
 
 
-class TestDatasetStats:
-    def test_empty(self):
-        assert dataset_stats({}) == []
-
-    def test_counts(self):
-        records = parse_dataset(FIXTURES / "tiny_dataset_task.json", "task_json")
-        rows = dataset_stats({("eng", "laptop", "train"): records})
-        assert rows == [
-            {"language": "eng", "domain": "laptop", "split": "train",
-             "sentences": 3, "instances": 4}
-        ]
-
-
 class TestInstanceIo:
     def test_round_trip(self, tmp_path):
         records = parse_dataset(FIXTURES / "tiny_dataset.jsonl")
@@ -263,8 +248,3 @@ class TestMalformedLines:
         path = _write_lines(tmp_path / "pred.jsonl", [GOOD_PREDICTION, bad])
         with pytest.raises(DataError, match=r"pred\.jsonl:2: missing field 'aspect_index'"):
             read_predictions(path)
-
-
-def test_count_aspect_duplicates():
-    records = parse_dataset(FIXTURES / "tiny_dataset.jsonl")
-    assert not count_aspect_duplicates(records)

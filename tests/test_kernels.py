@@ -50,25 +50,30 @@ def test_head_forward_backward_match_reference():
     b1 = rng.normal(size=hidden)
     w2 = rng.normal(size=hidden)
     b2 = float(rng.normal())
-    A1, Z2 = kernels.head_forward(H, W1, b1, w2, b2)
-    A1r = np.array([[math.tanh(sum(H[i, k] * W1[j, k] for k in range(d)) + b1[j])
-                     for j in range(hidden)] for i in range(n)])
-    Z2r = np.array([sum(A1r[i, j] * w2[j] for j in range(hidden)) + b2 for i in range(n)])
-    np.testing.assert_allclose(A1, A1r, atol=1e-12)
-    np.testing.assert_allclose(Z2, Z2r, atol=1e-12)
-
     dZ2 = rng.normal(size=n)
-    dW1, db1, dw2, db2, dH = kernels.head_backward(dZ2, H, A1, W1, w2)
-    dZ1 = np.array([[dZ2[i] * w2[j] * (1.0 - A1r[i, j] ** 2) for j in range(hidden)]
-                    for i in range(n)])
-    np.testing.assert_allclose(dw2, [sum(A1r[i, j] * dZ2[i] for i in range(n))
-                                     for j in range(hidden)], atol=1e-10)
-    assert db2 == pytest.approx(sum(dZ2), abs=1e-10)
-    np.testing.assert_allclose(db1, dZ1.sum(axis=0), atol=1e-10)
-    np.testing.assert_allclose(dW1, [[sum(dZ1[i, j] * H[i, k] for i in range(n))
-                                      for k in range(d)] for j in range(hidden)], atol=1e-10)
-    np.testing.assert_allclose(dH, [[sum(dZ1[i, j] * W1[j, k] for j in range(hidden))
-                                     for k in range(d)] for i in range(n)], atol=1e-10)
+    keep = 0.7
+    dropout = (rng.random((n, hidden)) < keep) / keep
+    for mask in (None, dropout):
+        M = np.ones((n, hidden)) if mask is None else mask
+        A1, Z2 = kernels.head_forward(H, W1, b1, w2, b2, mask)
+        A1r = np.array([[math.tanh(sum(H[i, k] * W1[j, k] for k in range(d)) + b1[j])
+                         for j in range(hidden)] for i in range(n)])
+        Z2r = np.array([sum(A1r[i, j] * M[i, j] * w2[j] for j in range(hidden)) + b2
+                        for i in range(n)])
+        np.testing.assert_allclose(A1, A1r, atol=1e-12)
+        np.testing.assert_allclose(Z2, Z2r, atol=1e-12)
+
+        dW1, db1, dw2, db2, dH = kernels.head_backward(dZ2, H, A1, W1, w2, mask)
+        dZ1 = np.array([[dZ2[i] * w2[j] * M[i, j] * (1.0 - A1r[i, j] ** 2) for j in range(hidden)]
+                        for i in range(n)])
+        np.testing.assert_allclose(dw2, [sum(A1r[i, j] * M[i, j] * dZ2[i] for i in range(n))
+                                         for j in range(hidden)], atol=1e-10)
+        assert db2 == pytest.approx(sum(dZ2), abs=1e-10)
+        np.testing.assert_allclose(db1, dZ1.sum(axis=0), atol=1e-10)
+        np.testing.assert_allclose(dW1, [[sum(dZ1[i, j] * H[i, k] for i in range(n))
+                                          for k in range(d)] for j in range(hidden)], atol=1e-10)
+        np.testing.assert_allclose(dH, [[sum(dZ1[i, j] * W1[j, k] for j in range(hidden))
+                                         for k in range(d)] for i in range(n)], atol=1e-10)
 
 
 def test_adamw_matches_reference():

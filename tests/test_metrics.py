@@ -138,24 +138,29 @@ class TestVaHeatmap:
 
     def test_counts_and_cell_rmse_match_brute_force(self):
         rng = np.random.default_rng(5)
-        preds, golds = random_pairs(rng, 50), random_pairs(rng, 50)
         edges = (1.0, 3.0, 5.0, 7.0, 9.0)
-        grid = va_heatmap(preds, golds, edges, edges)
-        assert grid.total_count() == 50
-        for i in range(4):
-            for j in range(4):
-                members = []
-                for p, g in zip(preds, golds):
-                    vi = min(int((g.valence - 1.0) // 2), 3)
-                    ai = min(int((g.arousal - 1.0) // 2), 3)
-                    if (vi, ai) == (i, j):
-                        members.append((p.valence - g.valence) ** 2 + (p.arousal - g.arousal) ** 2)
-                cell = grid.cells[i][j]
-                assert cell["count"] == len(members)
-                if members:
-                    assert cell["rmse"] == pytest.approx(math.sqrt(sum(members) / len(members)), abs=1e-9)
-                else:
-                    assert cell["rmse"] is None
+        on_edges = [VAPair(v, a) for v in edges for a in edges]  # every edge on both axes
+        inputs = [(random_pairs(rng, 50), random_pairs(rng, 50)),
+                  (random_pairs(rng, len(on_edges)), on_edges)]
+        for preds, golds in inputs:
+            grid = va_heatmap(preds, golds, edges, edges)
+            assert grid.total_count() == len(golds)
+            for i in range(4):
+                for j in range(4):
+                    members = []
+                    for p, g in zip(preds, golds):
+                        vi = min(int((g.valence - 1.0) // 2), 3)
+                        ai = min(int((g.arousal - 1.0) // 2), 3)
+                        if (vi, ai) == (i, j):
+                            members.append((p.valence - g.valence) ** 2
+                                           + (p.arousal - g.arousal) ** 2)
+                    cell = grid.cells[i][j]
+                    assert cell["count"] == len(members)
+                    if members:
+                        assert cell["rmse"] == pytest.approx(math.sqrt(sum(members) / len(members)),
+                                                             abs=1e-9)
+                    else:
+                        assert cell["rmse"] is None
 
     def test_marginal_reproduces_global(self):
         rng = np.random.default_rng(6)

@@ -123,23 +123,31 @@ class TestForward:
             tiny_model.loss_and_grads([inst], np.random.default_rng(0), zero_grads(tiny_model))
 
 
-def head_gradient_check(d, seed, internal_dropout=False):
+def head_gradient_check(d, seed, internal_dropout=False, dropout_rate=0.0):
     """Relative error between analytic and central-difference gradients of
-    mean squared scaled output for one head on a fixed input batch."""
+    mean squared scaled output for one head on a fixed input batch. With a
+    dropout rate the head runs in training mode, drawing the same dropout mask
+    on every pass from a freshly seeded generator."""
     rng = np.random.default_rng(seed)
-    head = RegressionHead(d, rng, dropout_rate=0.0, internal_dropout=internal_dropout)
+    head = RegressionHead(d, rng, dropout_rate=dropout_rate, internal_dropout=internal_dropout)
     H = rng.normal(size=(5, d))
     gold = rng.uniform(2.0, 8.0, size=5)
+
+    def forward():
+        return head.forward(H, train=dropout_rate > 0.0, rng=np.random.default_rng(seed + 100))
 
     def loss_of(params):
         head.W1[:], head.b1[:], head.w2[:], head.b2[:] = (
             params[0], params[1], params[2], params[3])
-        z, _ = head.forward(H, train=False)
+        z, _ = forward()
         pred = 1.0 / (1.0 + np.exp(-z)) * 8.0 + 1.0
         return float(np.mean((pred - gold) ** 2))
 
     # analytic
-    z, cache = head.forward(H, train=False)
+    z, cache = forward()
+    mask = cache[2]
+    assert (mask is not None) == (dropout_rate > 0.0 and internal_dropout)
+    assert mask is None or (mask == 0.0).any()
     s = 1.0 / (1.0 + np.exp(-z))
     pred = s * 8.0 + 1.0
     dz = (2.0 / len(gold)) * (pred - gold) * 8.0 * s * (1.0 - s)
@@ -173,6 +181,10 @@ class TestGradients:
     def test_head_gradcheck(self):
         for seed in range(5):
             assert head_gradient_check(8, seed) < 1e-4
+
+    def test_head_gradcheck_with_dropout_mask(self):
+        for seed in range(5):
+            assert head_gradient_check(8, seed, internal_dropout=True, dropout_rate=0.3) < 1e-4
 
     def test_full_model_gradcheck(self):
         # finite differences through encoder + both heads (dropout off)

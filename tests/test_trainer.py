@@ -1,21 +1,17 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
-from dimasr.data import VAPair
 from dimasr.model import DimASRModel, TinyEncoder, save_checkpoint, load_checkpoint
 from dimasr.trainer import (
     AdamW,
     EarlyStopper,
     TrainConfig,
     TrainerError,
-    compute_loss,
     evaluate_rmse,
     fit,
     lr_at,
-    train_all,
 )
-from .conftest import make_instances, zero_grads
+from .conftest import zero_grads
 
 
 def smoke_config(**overrides):
@@ -28,37 +24,6 @@ def smoke_config(**overrides):
 def tiny_model(seed=42, dim=32):
     return DimASRModel(TinyEncoder(dim=dim, seed=0), seed=seed,
                        input_dropout_rate=0.0, head_dropout_rate=0.0)
-
-
-class TestComputeLoss:
-    def test_identity(self):
-        pairs = [VAPair(3.0, 4.0), VAPair(8.0, 2.0)]
-        assert compute_loss(pairs, pairs) == 0.0
-
-    def test_unit_offsets(self):
-        assert compute_loss([VAPair(6, 6)], [VAPair(5, 5)]) == pytest.approx(2.0)
-
-    def test_hand_computed(self):
-        preds = [VAPair(5, 5), VAPair(7, 3)]
-        golds = [VAPair(5, 6), VAPair(5, 3)]
-        assert compute_loss(preds, golds) == pytest.approx(2.5)
-
-    def test_length_mismatch(self):
-        with pytest.raises(TrainerError):
-            compute_loss([VAPair(5, 5)], [])
-
-    @given(st.lists(st.tuples(st.floats(1, 9), st.floats(1, 9), st.floats(1, 9), st.floats(1, 9)),
-                    min_size=1, max_size=20),
-           st.randoms())
-    def test_permutation_invariant_and_nonnegative(self, rows, rnd):
-        preds = [VAPair(r[0], r[1]) for r in rows]
-        golds = [VAPair(r[2], r[3]) for r in rows]
-        loss = compute_loss(preds, golds)
-        assert loss >= 0.0
-        order = list(range(len(rows)))
-        rnd.shuffle(order)
-        shuffled = compute_loss([preds[i] for i in order], [golds[i] for i in order])
-        assert shuffled == pytest.approx(loss, abs=1e-9)
 
 
 class TestLrSchedule:
@@ -205,23 +170,6 @@ class TestClipIntegration:
         _, grads, _ = model.loss_and_grads(sixteen_instances, rng, zero_grads(model))
         kernels.clip_gradients(list(grads.values()), 1.0)
         assert kernels.global_grad_norm(grads.values()) <= 1.0 + 1e-6
-
-
-class TestTrainAll:
-    def test_isolates_failures(self):
-        runs = [{"name": "a"}, {"name": "bad"}, {"name": "c"}]
-
-        def run_one(descr):
-            if descr["name"] == "bad":
-                raise TrainerError("corrupt file")
-            return descr["name"].upper()
-
-        out = train_all(runs, run_one)
-        assert out["results"] == {"a": "A", "c": "C"}
-        assert "corrupt file" in out["failures"]["bad"]
-
-    def test_empty(self):
-        assert train_all([], lambda d: d) == {"results": {}, "failures": {}}
 
 
 def test_adamw_moves_params_toward_gradient_descent():
