@@ -333,6 +333,22 @@ def llm_baseline(config_path, instances_path, replay, exemplar_pool, seed, out):
                    [pred_path, transcript_path], seed)
 
 
+def _read_report(path) -> dict:
+    """One `dimasr evaluate` report.json, with the fields compare reads."""
+    try:
+        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # bad JSON or bad UTF-8
+        raise DataError(f"{path}: not a JSON report ({exc})") from None
+    if not isinstance(obj, dict):
+        raise DataError(f"{path}: expected a JSON object, got {type(obj).__name__}")
+    for name, kind, what in (("method", str, "string"), ("dataset", str, "string"),
+                             ("rmse_va", (int, float), "number")):
+        value = obj.get(name)
+        if not isinstance(value, kind) or isinstance(value, bool):
+            raise DataError(f"{path}: field {name!r} must be a {what}, got {value!r}")
+    return obj
+
+
 @main.command()
 @click.argument("reports", nargs=-1, required=True, type=click.Path(exists=True))
 @click.option("--out", required=True, type=click.Path())
@@ -342,7 +358,7 @@ def compare(reports, out):
     table = {}
     datasets = None
     for path in reports:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+        obj = _read_report(path)
         table.setdefault(obj["method"], {})[obj["dataset"]] = obj["rmse_va"]
     for method, row in table.items():
         cols = set(row)

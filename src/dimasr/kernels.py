@@ -24,32 +24,35 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def head_forward(H, W1, b1, w2, b2, mask=None):
-    """Batch forward through one regression head.
+    """Batch forward through a stack of k regression heads sharing the input.
 
-    H: (n, d) inputs; W1: (hidden, d); b1: (hidden,); w2: (hidden,); b2: scalar;
-    mask: optional (n, hidden) dropout mask, already scaled by 1/keep, applied
-    to the tanh activations before the output layer.
-    Returns (A1, Z2): unmasked tanh activations (n, hidden) and raw outputs (n,).
+    H: (n, d); W1: (k, hidden, d); b1: (k, hidden); w2: (k, hidden); b2: (k, 1);
+    mask: optional (k, n, hidden) dropout mask, already scaled by 1/keep, applied
+    to the tanh activations before the output layer. Returns (A1, Z2): unmasked
+    activations (k, n, hidden) and raw outputs (k, n). The head is the batch
+    axis of every matmul, so each head gets bit for bit what a call on its own
+    slice gets; one flat (n, k*hidden) product would not.
     """
-    A1 = np.tanh(H @ W1.T + b1)
-    Z2 = (A1 if mask is None else A1 * mask) @ w2 + b2
+    A1 = np.tanh(np.matmul(H, W1.transpose(0, 2, 1)) + b1[:, None, :])
+    Z2 = np.matmul(A1 if mask is None else A1 * mask, w2[..., None])[..., 0] + b2
     return A1, Z2
 
 
 def head_backward(dZ2, H, A1, W1, w2, mask=None):
-    """Gradients of one head given dL/dZ2, with the forward pass's dropout mask.
-
-    Returns (dW1, db1, dw2, db2, dH).
+    """Gradients of a head stack given dL/dZ2 (k, n) and the forward pass's
+    dropout mask: (dW1, db1, dw2, db2) stacked like the parameters, and dH
+    (n, d) summed over the heads in order. Each sum runs over one head's slice
+    in the order it would for that head alone.
     """
-    dw2 = (A1 if mask is None else A1 * mask).T @ dZ2
-    db2 = float(np.sum(dZ2))
-    dA1 = np.outer(dZ2, w2)
+    dw2 = np.matmul((A1 if mask is None else A1 * mask).transpose(0, 2, 1), dZ2[..., None])[..., 0]
+    db2 = dZ2.sum(axis=1, keepdims=True)
+    dA1 = dZ2[:, :, None] * w2[:, None, :]
     if mask is not None:
         dA1 *= mask
     dZ1 = dA1 * (1.0 - A1 * A1)
-    dW1 = dZ1.T @ H
-    db1 = dZ1.sum(axis=0)
-    dH = dZ1 @ W1
+    dW1 = np.matmul(dZ1.transpose(0, 2, 1), H)
+    db1 = dZ1.sum(axis=1)
+    dH = np.matmul(dZ1, W1).sum(axis=0)
     return dW1, db1, dw2, db2, dH
 
 

@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .data import VAPair, format_va_string
+from .data import DataError, VAPair, format_va_string
 
 DEFAULT_SYSTEM_PROMPT = """\
 You are an expert in sentiment analysis. Your task is to predict Valence and Arousal scores for aspects in sentences.
@@ -119,15 +119,27 @@ def instance_key(instance) -> str:
 
 
 class ReplayTransport:
-    """Serves raw responses from a recorded transcript file; no network."""
+    """Serves raw responses from a recorded transcript file; no network.
+
+    A malformed transcript line raises DataError naming the file and line."""
 
     def __init__(self, transcript_path):
         self.responses = {}
         with Path(transcript_path).open(encoding="utf-8") as fh:
-            for line in fh:
+            for lineno, line in enumerate(fh, start=1):
                 if not line.strip():
                     continue
-                obj = json.loads(line)
+                where = f"{transcript_path}:{lineno}"
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise DataError(f"{where}: malformed JSON ({exc.msg})") from None
+                if not isinstance(obj, dict):
+                    raise DataError(f"{where}: expected an object, got {type(obj).__name__}")
+                for name in ("key", "response"):
+                    if not isinstance(obj.get(name), str):
+                        raise DataError(f"{where}: field {name!r} must be a string, "
+                                        f"got {obj.get(name)!r}")
                 self.responses.setdefault(obj["key"], []).append(obj["response"])
         self._cursor = {}
 
@@ -155,20 +167,31 @@ class HttpChatTransport:
         self.api_key = api_key
 
     def complete(self, key: str, messages, config: LlmRunConfig) -> str:
+        """The response text; a failed request or a malformed body raises
+        LlmError, so run_baseline retries it and then falls back."""
         import requests
 
-        resp = requests.post(
-            config.base_url.rstrip("/") + "/chat/completions",
-            headers={"Authorization": f"Bearer {self.api_key}"},
-            json={
-                "model": config.model,
-                "messages": messages,
-                "temperature": config.temperature,
-            },
-            timeout=config.timeout,
-        )
-        resp.raise_for_status()
-        return resp.json()["choices"][0]["message"]["content"]
+        try:
+            resp = requests.post(
+                config.base_url.rstrip("/") + "/chat/completions",
+                headers={"Authorization": f"Bearer {self.api_key}"},
+                json={
+                    "model": config.model,
+                    "messages": messages,
+                    "temperature": config.temperature,
+                },
+                timeout=config.timeout,
+            )
+            resp.raise_for_status()
+        except requests.RequestException as exc:
+            raise LlmError(f"request for instance {key} failed: {exc}") from exc
+        try:
+            content = resp.json()["choices"][0]["message"]["content"]
+        except (KeyError, IndexError, TypeError, ValueError) as exc:
+            raise LlmError(f"malformed response body for instance {key}: {exc!r}") from exc
+        if not isinstance(content, str):
+            raise LlmError(f"malformed response body for instance {key}: content {content!r}")
+        return content
 
 
 def run_baseline(
@@ -199,7 +222,7 @@ def run_baseline(
                 pair = parse_llm_output(raw)
                 status = "ok"
                 break
-            except (LlmParseError, LlmError) as exc:
+            except LlmError as exc:
                 raw = raw if raw is not None else f"<transport error: {exc}>"
         if pair is None:
             pair = config.fallback

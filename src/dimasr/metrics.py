@@ -61,9 +61,6 @@ class HeatmapGrid:
     # cells[i][j] covers v bin i, a bin j: {"rmse": float|None, "count": int}
     cells: list = field(default_factory=list)
 
-    def total_count(self) -> int:
-        return sum(c["count"] for row in self.cells for c in row)
-
     def to_dict(self) -> dict:
         return {"v_edges": list(self.v_edges), "a_edges": list(self.a_edges), "cells": self.cells}
 

@@ -2,9 +2,9 @@
 
 The model encodes a (text, aspect) pair as start-token [CLS]-style vector h,
 applies dropout in training mode, and maps h through two independent
-two-layer heads (affine -> tanh -> dropout -> affine). Raw head outputs are
-squashed onto the label scale with ``sigmoid(raw) * 8 + 1``, so predictions
-always lie strictly inside (1, 9).
+two-layer heads (affine -> tanh -> dropout -> affine), held as one stacked
+block. Raw head outputs are squashed onto the label scale with
+``sigmoid(raw) * 8 + 1``, so predictions always lie strictly inside (1, 9).
 
 Two encoder adapters are provided:
 
@@ -194,51 +194,57 @@ def make_encoder(spec: dict):
 
 
 class RegressionHead:
-    """Two-layer head: affine d -> floor(d/2), tanh, dropout, affine -> 1."""
+    """The valence and arousal heads as one stack, each a two-layer head:
+    affine d -> floor(d/2), tanh, dropout, affine -> 1. Index 0 of every
+    array is valence, index 1 arousal."""
 
     def __init__(self, dim: int, rng: np.random.Generator, dropout_rate: float = 0.1,
                  internal_dropout: bool = True):
         hidden = max(dim // 2, 1)
-        self.dim = dim
         self.hidden = hidden
         self.dropout_rate = dropout_rate
         self.internal_dropout = internal_dropout
-        # small random weights, zero biases
-        self.W1 = rng.normal(0.0, 0.02, size=(hidden, dim))
-        self.b1 = np.zeros(hidden)
-        self.w2 = rng.normal(0.0, 0.02, size=hidden)
-        self.b2 = np.zeros(1)
+        # small random weights, zero biases; drawn head by head
+        self.W1 = np.empty((2, hidden, dim))
+        self.b1 = np.zeros((2, hidden))
+        self.w2 = np.empty((2, hidden))
+        self.b2 = np.zeros((2, 1))
+        for k in range(2):
+            self.W1[k] = rng.normal(0.0, 0.02, size=(hidden, dim))
+            self.w2[k] = rng.normal(0.0, 0.02, size=hidden)
 
-    def parameters(self, prefix: str) -> dict:
-        return {
-            f"{prefix}.W1": self.W1,
-            f"{prefix}.b1": self.b1,
-            f"{prefix}.w2": self.w2,
-            f"{prefix}.b2": self.b2,
-        }
+    @staticmethod
+    def _per_head(W1, b1, w2, b2) -> dict:
+        """Views of each head's slice of four stacks, under the checkpoint names
+        head_v.W1 ... head_a.b2. Per-head biases stay 1-D, so AdamW leaves them
+        out of weight decay."""
+        return {f"{prefix}.{name}": stack[k]
+                for k, prefix in enumerate(("head_v", "head_a"))
+                for name, stack in zip(("W1", "b1", "w2", "b2"), (W1, b1, w2, b2))}
+
+    def parameters(self) -> dict:
+        return self._per_head(self.W1, self.b1, self.w2, self.b2)
 
     def forward(self, H: np.ndarray, train: bool = False, rng: Optional[np.random.Generator] = None):
-        """Raw (pre-sigmoid) outputs for a batch. Returns (z2, cache)."""
+        """Raw (pre-sigmoid) outputs (2, n) for a batch. Returns (Z2, cache)."""
         mask = None
         if train and self.internal_dropout and self.dropout_rate > 0.0:
             keep = 1.0 - self.dropout_rate
-            mask = (rng.random((H.shape[0], self.hidden)) < keep) / keep
-        A1, Z2 = kernels.head_forward(H, self.W1, self.b1, self.w2, float(self.b2[0]), mask)
+            mask = (rng.random((2, H.shape[0], self.hidden)) < keep) / keep
+        A1, Z2 = kernels.head_forward(H, self.W1, self.b1, self.w2, self.b2, mask)
         return Z2, (H, A1, mask)
 
-    def backward(self, dZ2: np.ndarray, cache, grads: dict, prefix: str) -> np.ndarray:
-        """Accumulate parameter gradients; returns dL/dH."""
+    def backward(self, dZ2: np.ndarray, cache, grads: dict) -> np.ndarray:
+        """Accumulate parameter gradients; returns dL/dH summed over both heads."""
         H, A1, mask = cache
         dW1, db1, dw2, db2, dH = kernels.head_backward(dZ2, H, A1, self.W1, self.w2, mask)
-        grads[f"{prefix}.W1"] += dW1
-        grads[f"{prefix}.b1"] += db1
-        grads[f"{prefix}.w2"] += dw2
-        grads[f"{prefix}.b2"] += db2
+        for name, g in self._per_head(dW1, db1, dw2, db2).items():
+            grads[name] += g
         return dH
 
 
 class DimASRModel:
-    """Encoder + input dropout + two independent bounded regression heads."""
+    """Encoder + input dropout + the stacked valence/arousal regression heads."""
 
     def __init__(self, encoder, seed: int = 42, input_dropout_rate: float = 0.1,
                  head_dropout_rate: float = 0.1, head_internal_dropout: bool = True):
@@ -247,13 +253,11 @@ class DimASRModel:
         self.seed = seed
         rng = np.random.default_rng(seed)
         d = encoder.hidden_dim
-        self.head_v = RegressionHead(d, rng, head_dropout_rate, head_internal_dropout)
-        self.head_a = RegressionHead(d, rng, head_dropout_rate, head_internal_dropout)
+        self.head = RegressionHead(d, rng, head_dropout_rate, head_internal_dropout)
 
     def parameters(self) -> dict:
         params = dict(self.encoder.parameters())
-        params.update(self.head_v.parameters("head_v"))
-        params.update(self.head_a.parameters("head_a"))
+        params.update(self.head.parameters())
         return params
 
     def _encode(self, batch: Sequence[AspectInstance]):
@@ -279,17 +283,16 @@ class DimASRModel:
         chunks = []
         for start in range(0, len(instances), PREDICT_BATCH):
             H, _ = self._encode(instances[start : start + PREDICT_BATCH])
-            zv, _ = self.head_v.forward(H)
-            za, _ = self.head_a.forward(H)
-            chunks.append(np.stack([zv, za], axis=1))
+            chunks.append(self.head.forward(H)[0].T)
         return np.concatenate(chunks)
 
     def predict_pairs(self, instances: Sequence[AspectInstance]) -> list:
         return [VAPair(float(v), float(a)) for v, a in scale_to_va(self.predict_raw(instances))]
 
     def loss_and_grads(self, batch: Sequence[AspectInstance], rng: np.random.Generator,
-                       grads: dict):
-        """Training-mode forward/backward. Returns (loss, grads, preds array (n,2)).
+                       grads: dict) -> float:
+        """Training-mode forward/backward. Returns the loss: the sum over valence
+        and arousal of the mean squared error on the label scale.
 
         `grads` is a buffer shaped like parameters(); it is zeroed and filled in
         place, so a training loop reuses one across steps.
@@ -299,7 +302,7 @@ class DimASRModel:
             if inst.gold is None:
                 raise ModelError(f"instance {inst.key} has no gold label")
             golds.append((inst.gold.valence, inst.gold.arousal))
-        gold = np.asarray(golds)
+        gold = np.asarray(golds).T  # (2, n), like the head outputs
         n = len(batch)
 
         H, enc_cache = self._encode(batch)
@@ -310,25 +313,19 @@ class DimASRModel:
             mask_in = (rng.random(H.shape) < keep) / keep
             Hd = H * mask_in
 
-        zv, cache_v = self.head_v.forward(Hd, train=True, rng=rng)
-        za, cache_a = self.head_a.forward(Hd, train=True, rng=rng)
-        sv = kernels.sigmoid(zv)
-        sa = kernels.sigmoid(za)
-        pred = np.stack([sv * 8.0 + 1.0, sa * 8.0 + 1.0], axis=1)
-
-        dv = pred[:, 0] - gold[:, 0]
-        da = pred[:, 1] - gold[:, 1]
-        loss = float(np.mean(dv**2) + np.mean(da**2))
+        z, head_cache = self.head.forward(Hd, train=True, rng=rng)
+        s = kernels.sigmoid(z)
+        diff = (s * 8.0 + 1.0) - gold
+        # one mean per head row, then their sum: each row sums as a 1-D array would
+        loss = float(np.mean(diff**2, axis=1).sum())
 
         for g in grads.values():
             g.fill(0.0)
-        dzv = (2.0 / n) * dv * 8.0 * sv * (1.0 - sv)
-        dza = (2.0 / n) * da * 8.0 * sa * (1.0 - sa)
-        dHd = self.head_v.backward(dzv, cache_v, grads, "head_v")
-        dHd = dHd + self.head_a.backward(dza, cache_a, grads, "head_a")
+        dz = (2.0 / n) * diff * 8.0 * s * (1.0 - s)
+        dHd = self.head.backward(dz, head_cache, grads)
         dH = dHd if mask_in is None else dHd * mask_in
         self.encoder.backward(dH, enc_cache, grads)
-        return loss, grads, pred
+        return loss
 
     # -- checkpointing --------------------------------------------------
 
@@ -339,13 +336,10 @@ class DimASRModel:
             "hidden_dim": self.encoder.hidden_dim,
             "max_len": self.encoder.max_len,
             "input_dropout_rate": self.input_dropout_rate,
-            "head_dropout_rate": self.head_v.dropout_rate,
-            "head_internal_dropout": self.head_v.internal_dropout,
+            "head_dropout_rate": self.head.dropout_rate,
+            "head_internal_dropout": self.head.internal_dropout,
             "seed": self.seed,
         }
-
-    def state_arrays(self) -> dict:
-        return {k: np.asarray(v) for k, v in self.parameters().items()}
 
     def load_state(self, arrays: dict) -> None:
         params = self.parameters()
@@ -364,7 +358,7 @@ def save_checkpoint(model: DimASRModel, path) -> None:
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
     (path / "manifest.json").write_text(json.dumps(model.manifest(), indent=2), encoding="utf-8")
-    np.savez(path / "params.npz", **model.state_arrays())
+    np.savez(path / "params.npz", **model.parameters())
 
 
 def load_checkpoint(path, expected_hidden_dim: Optional[int] = None) -> DimASRModel:

@@ -8,7 +8,6 @@ sub-streams, so runs are reproducible with the stand-in encoder.
 
 from __future__ import annotations
 
-import copy
 import math
 import zlib
 from dataclasses import dataclass, field, asdict
@@ -35,13 +34,9 @@ class TrainConfig:
     head_internal_dropout: bool = True
     max_epochs: int = 10
     patience: int = 3
-    min_delta: float = 0.0
     grad_clip_norm: float = 1.0
     seed: int = 42
     max_len: int = 256
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
 
     def __post_init__(self):
         if self.batch_size <= 0 or self.learning_rate <= 0 or self.max_epochs <= 0:
@@ -85,9 +80,8 @@ class TrainHistory:
 class EarlyStopper:
     """Strict-improvement patience counter over a validation metric."""
 
-    def __init__(self, patience: int, min_delta: float = 0.0):
+    def __init__(self, patience: int):
         self.patience = patience
-        self.min_delta = min_delta
         self.best = math.inf
         self.best_index = 0
         self.since_improvement = 0
@@ -96,7 +90,7 @@ class EarlyStopper:
     def update(self, value: float) -> bool:
         """Record one epoch's metric; returns True when training should stop."""
         self._n += 1
-        if value < self.best - self.min_delta:
+        if value < self.best:
             self.best = value
             self.best_index = self._n
             self.since_improvement = 0
@@ -133,13 +127,12 @@ class AdamW:
 
     def step(self, grads: dict, lr: float) -> None:
         self.t += 1
-        cfg = self.config
         for name, p in self.params.items():
             # decoupled weight decay on weight matrices/embeddings, not biases
-            wd = cfg.weight_decay if p.ndim >= 2 else 0.0
+            wd = self.config.weight_decay if p.ndim >= 2 else 0.0
             kernels.adamw_update(
                 p, grads[name], self.m[name], self.v[name],
-                lr, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps, wd, self.t,
+                lr, 0.9, 0.999, 1e-8, wd, self.t,  # beta1, beta2, eps
             )
 
 
@@ -173,7 +166,7 @@ def fit(
     optimizer = AdamW(params, config)
     grads = {k: np.zeros_like(v) for k, v in params.items()}
     dropout_rng = _substream(config.seed, "dropout")
-    stopper = EarlyStopper(config.patience, config.min_delta)
+    stopper = EarlyStopper(config.patience)
     history = TrainHistory()
     best_state = None
     step = 0
@@ -185,7 +178,7 @@ def fit(
         for start in range(0, len(fit_set), config.batch_size):
             batch = [fit_set[i] for i in order[start : start + config.batch_size]]
             try:
-                loss, _, _ = model.loss_and_grads(batch, dropout_rng, grads)
+                loss = model.loss_and_grads(batch, dropout_rng, grads)
             except ModelError as exc:
                 raise TrainerError(str(exc)) from exc
             if not np.isfinite(loss):
@@ -212,7 +205,7 @@ def fit(
 
         stop = stopper.update(record.val_rmse_va)
         if stopper.best_index == epoch:
-            best_state = copy.deepcopy(model.state_arrays())
+            best_state = {k: v.copy() for k, v in model.parameters().items()}
         if stop:
             history.stopped_early = True
             break

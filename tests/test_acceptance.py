@@ -77,7 +77,7 @@ def test_criterion_01_and_02_metric_oracles():
             assert got == pytest.approx(want, abs=1e-9)
 
         grid = va_heatmap(preds, golds, edges, edges)
-        assert grid.total_count() == n
+        assert sum(c["count"] for row in grid.cells for c in row) == n
         for i in range(4):
             for j in range(4):
                 want_rmse, want_count = oracle_cell(

@@ -124,9 +124,8 @@ class TestPredict:
     @pytest.fixture
     def zero_head_checkpoint(self, tmp_path):
         model = DimASRModel(TinyEncoder(dim=16, seed=0), seed=1)
-        for head in (model.head_v, model.head_a):
-            head.w2[:] = 0.0
-            head.b2[:] = 0.0
+        model.head.w2[:] = 0.0
+        model.head.b2[:] = 0.0
         path = tmp_path / "zero_ckpt"
         save_checkpoint(model, path)
         return path
@@ -207,6 +206,15 @@ class TestLlmBaseline:
         assert [json.loads(l)["va"] for l in lines] == ["7.10#6.30", "1.50#8.20", "5.00#5.00"]
         assert (out / "transcript.jsonl").exists()
 
+    def test_malformed_transcript_exit_code(self, runner, tmp_path):
+        transcript = tmp_path / "t.jsonl"
+        transcript.write_text('{"key": "a::0"}\n')
+        result = runner.invoke(main, ["llm-baseline", "--config", str(FIXTURES / "llm_config.yaml"),
+                                      "--instances", str(FIXTURES / "llm_instances.jsonl"),
+                                      "--replay", str(transcript), "--out", str(tmp_path / "o")])
+        assert result.exit_code == 2
+        assert f"{transcript}:1: field 'response'" in result.output
+
     def test_live_without_credential(self, runner, tmp_path, monkeypatch):
         monkeypatch.delenv("DIMASR_LLM_API_KEY", raising=False)
         cfg = tmp_path / "live.yaml"
@@ -260,3 +268,19 @@ class TestCompare:
         ]
         result = runner.invoke(main, ["compare", *reports, "--out", str(tmp_path / "cmp")])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("text,message", [
+        ("not json", "not a JSON report"),
+        ("[1.0]", "expected a JSON object, got list"),
+        ('{"dataset": "d", "rmse_va": 1.0}', "field 'method' must be a string"),
+        ('{"method": "m", "rmse_va": 1.0}', "field 'dataset' must be a string"),
+        ('{"method": "m", "dataset": "d"}', "field 'rmse_va' must be a number"),
+        ('{"method": "m", "dataset": "d", "rmse_va": "1.0"}', "field 'rmse_va' must be a number"),
+    ])
+    def test_malformed_report_exit_code(self, runner, tmp_path, text, message):
+        good = self.make_report(tmp_path / "a.json", "m1", "d", 1.0)
+        bad = tmp_path / "b.json"
+        bad.write_text(text)
+        result = runner.invoke(main, ["compare", good, str(bad), "--out", str(tmp_path / "cmp")])
+        assert result.exit_code == 2
+        assert f"{bad}: {message}" in result.output

@@ -46,34 +46,66 @@ def test_sigmoid_extremes_stable():
 def test_head_forward_backward_match_reference():
     n, d, hidden = 9, 12, 6
     H = rng.normal(size=(n, d))
-    W1 = rng.normal(size=(hidden, d))
-    b1 = rng.normal(size=hidden)
-    w2 = rng.normal(size=hidden)
-    b2 = float(rng.normal())
-    dZ2 = rng.normal(size=n)
+    W1 = rng.normal(size=(2, hidden, d))
+    b1 = rng.normal(size=(2, hidden))
+    w2 = rng.normal(size=(2, hidden))
+    b2 = rng.normal(size=(2, 1))
+    dZ2 = rng.normal(size=(2, n))
     keep = 0.7
-    dropout = (rng.random((n, hidden)) < keep) / keep
+    dropout = (rng.random((2, n, hidden)) < keep) / keep
     for mask in (None, dropout):
-        M = np.ones((n, hidden)) if mask is None else mask
+        M = np.ones((2, n, hidden)) if mask is None else mask
         A1, Z2 = kernels.head_forward(H, W1, b1, w2, b2, mask)
-        A1r = np.array([[math.tanh(sum(H[i, k] * W1[j, k] for k in range(d)) + b1[j])
-                         for j in range(hidden)] for i in range(n)])
-        Z2r = np.array([sum(A1r[i, j] * M[i, j] * w2[j] for j in range(hidden)) + b2
-                        for i in range(n)])
-        np.testing.assert_allclose(A1, A1r, atol=1e-12)
-        np.testing.assert_allclose(Z2, Z2r, atol=1e-12)
-
         dW1, db1, dw2, db2, dH = kernels.head_backward(dZ2, H, A1, W1, w2, mask)
-        dZ1 = np.array([[dZ2[i] * w2[j] * M[i, j] * (1.0 - A1r[i, j] ** 2) for j in range(hidden)]
-                        for i in range(n)])
-        np.testing.assert_allclose(dw2, [sum(A1r[i, j] * M[i, j] * dZ2[i] for i in range(n))
-                                         for j in range(hidden)], atol=1e-10)
-        assert db2 == pytest.approx(sum(dZ2), abs=1e-10)
-        np.testing.assert_allclose(db1, dZ1.sum(axis=0), atol=1e-10)
-        np.testing.assert_allclose(dW1, [[sum(dZ1[i, j] * H[i, k] for i in range(n))
-                                          for k in range(d)] for j in range(hidden)], atol=1e-10)
-        np.testing.assert_allclose(dH, [[sum(dZ1[i, j] * W1[j, k] for j in range(hidden))
-                                         for k in range(d)] for i in range(n)], atol=1e-10)
+        dH_ref = np.zeros((n, d))
+        for h in range(2):
+            A1r = np.array([[math.tanh(sum(H[i, k] * W1[h, j, k] for k in range(d)) + b1[h, j])
+                             for j in range(hidden)] for i in range(n)])
+            Z2r = np.array([sum(A1r[i, j] * M[h, i, j] * w2[h, j] for j in range(hidden)) + b2[h, 0]
+                            for i in range(n)])
+            np.testing.assert_allclose(A1[h], A1r, atol=1e-12)
+            np.testing.assert_allclose(Z2[h], Z2r, atol=1e-12)
+
+            dZ1 = np.array([[dZ2[h, i] * w2[h, j] * M[h, i, j] * (1.0 - A1r[i, j] ** 2)
+                             for j in range(hidden)] for i in range(n)])
+            np.testing.assert_allclose(dw2[h], [sum(A1r[i, j] * M[h, i, j] * dZ2[h, i]
+                                                    for i in range(n)) for j in range(hidden)],
+                                       atol=1e-10)
+            assert db2[h, 0] == pytest.approx(sum(dZ2[h]), abs=1e-10)
+            np.testing.assert_allclose(db1[h], dZ1.sum(axis=0), atol=1e-10)
+            np.testing.assert_allclose(dW1[h], [[sum(dZ1[i, j] * H[i, k] for i in range(n))
+                                                 for k in range(d)] for j in range(hidden)],
+                                       atol=1e-10)
+            dH_ref += [[sum(dZ1[i, j] * W1[h, j, k] for j in range(hidden)) for k in range(d)]
+                       for i in range(n)]
+        np.testing.assert_allclose(dH, dH_ref, atol=1e-10)
+
+
+@pytest.mark.parametrize("n,d", [(5, 256), (64, 32), (16, 768)])
+def test_stacked_heads_equal_single_head_calls(n, d):
+    """Each head of the stack gets exactly the result a one-head (k=1) call on
+    its own slice gets, and dH is the heads' dH summed in order."""
+    hidden = d // 2
+    H = rng.normal(size=(n, d))
+    W1 = rng.normal(0.0, 0.02, size=(2, hidden, d))
+    b1 = rng.normal(size=(2, hidden))
+    w2 = rng.normal(size=(2, hidden))
+    b2 = rng.normal(size=(2, 1))
+    dZ2 = rng.normal(size=(2, n))
+    for mask in (None, (rng.random((2, n, hidden)) < 0.8) / 0.8):
+        A1, Z2 = kernels.head_forward(H, W1, b1, w2, b2, mask)
+        stacked = kernels.head_backward(dZ2, H, A1, W1, w2, mask)
+        dH = None
+        for h in range(2):
+            one = slice(h, h + 1)
+            m = None if mask is None else mask[one]
+            a1, z2 = kernels.head_forward(H, W1[one], b1[one], w2[one], b2[one], m)
+            assert np.array_equal(a1[0], A1[h]) and np.array_equal(z2[0], Z2[h])
+            single = kernels.head_backward(dZ2[one], H, a1, W1[one], w2[one], m)
+            for got, want in zip(stacked[:4], single[:4]):  # dW1, db1, dw2, db2
+                assert np.array_equal(got[h], want[0])
+            dH = single[4] if dH is None else dH + single[4]
+        assert np.array_equal(stacked[4], dH)
 
 
 def test_adamw_matches_reference():

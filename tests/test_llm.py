@@ -1,8 +1,9 @@
 import json
 
 import pytest
+import requests
 
-from dimasr.data import AspectInstance, VAPair
+from dimasr.data import AspectInstance, DataError, VAPair
 from dimasr.llm import (
     DEFAULT_EXEMPLARS,
     DEFAULT_SYSTEM_PROMPT,
@@ -140,6 +141,87 @@ class TestRunBaseline:
         assert len(records) == 3
         for rec in records:
             assert set(rec) == {"key", "messages", "response", "parsed", "status"}
+
+
+class TestReplayMalformed:
+    GOOD = '{"key": "s1::0", "response": "7.10#6.30"}\n'
+
+    @pytest.mark.parametrize("line,message", [
+        ("not json", "malformed JSON"),
+        ("[1, 2]", "expected an object, got list"),
+        ('{"response": "5#5"}', "'key' must be a string"),
+        ('{"key": "s1::1"}', "'response' must be a string"),
+        ('{"key": "s1::1", "response": null}', "'response' must be a string"),
+    ])
+    def test_bad_line_names_file_and_line(self, tmp_path, line, message):
+        path = tmp_path / "t.jsonl"
+        path.write_text(self.GOOD + "\n" + line + "\n")
+        with pytest.raises(DataError) as info:
+            ReplayTransport(path)
+        assert str(info.value).startswith(f"{path}:3: ")
+        assert message in str(info.value)
+
+
+class FakePost:
+    """Stands in for requests.post: call i answers with outcomes[i], either an
+    exception to raise or (status code, body bytes)."""
+
+    def __init__(self, outcomes):
+        self.outcomes = list(outcomes)
+        self.calls = 0
+
+    def __call__(self, url, **kwargs):
+        outcome = self.outcomes[self.calls]
+        self.calls += 1
+        if isinstance(outcome, Exception):
+            raise outcome
+        status, body = outcome
+        resp = requests.Response()
+        resp.status_code, resp._content, resp.url = status, body, url
+        return resp
+
+
+def answer(text):
+    return 200, json.dumps({"choices": [{"message": {"content": text}}]}).encode()
+
+
+class TestHttpTransportFailures:
+    @pytest.fixture
+    def transport(self, monkeypatch):
+        monkeypatch.setenv("DIMASR_LLM_API_KEY", "k")
+        return HttpChatTransport(LlmRunConfig(base_url="https://example.invalid/v1", model="m"))
+
+    def test_connection_error_is_retried(self, transport, monkeypatch):
+        post = FakePost([requests.ConnectionError("reset"), answer("7.00#6.00"),
+                         answer("3.00#4.00")])
+        monkeypatch.setattr(requests, "post", post)
+        pairs, log = run_baseline(make_instances(2), LlmRunConfig(max_retries=1), transport)
+        assert post.calls == 3
+        assert pairs == [VAPair(7.0, 6.0), VAPair(3.0, 4.0)]
+        assert [r["status"] for r in log] == ["ok", "ok"]
+
+    def test_exhausted_retries_fall_back(self, transport, monkeypatch):
+        post = FakePost([requests.ConnectionError("reset"), requests.Timeout("slow"),
+                         answer("2.00#8.00")])
+        monkeypatch.setattr(requests, "post", post)
+        pairs, log = run_baseline(make_instances(2), LlmRunConfig(max_retries=1), transport)
+        assert post.calls == 3
+        assert pairs == [VAPair(5.0, 5.0), VAPair(2.0, 8.0)]
+        assert [r["status"] for r in log] == ["fallback", "ok"]
+        assert log[0]["response"].startswith("<transport error: request for instance")
+
+    @pytest.mark.parametrize("outcome", [
+        (500, b"{}"),
+        (200, b"<html>not json</html>"),
+        (200, b"{}"),
+        (200, b'{"choices": []}'),
+        (200, b"[]"),
+        (200, b'{"choices": [{"message": {"content": null}}]}'),
+    ])
+    def test_bad_response_is_llm_error(self, transport, monkeypatch, outcome):
+        monkeypatch.setattr(requests, "post", FakePost([outcome]))
+        with pytest.raises(LlmError, match="instance k1"):
+            transport.complete("k1", [], LlmRunConfig(base_url="https://example.invalid/v1"))
 
 
 def test_http_transport_requires_credential(monkeypatch):

@@ -125,7 +125,7 @@ class TestVaHeatmap:
         pairs = [VAPair(2.0, 2.0)] * 5
         grid = va_heatmap(pairs, pairs)
         assert grid.cells[0][0] == {"rmse": 0.0, "count": 5}
-        assert grid.total_count() == 5
+        assert sum(c["count"] for row in grid.cells for c in row) == 5
         assert all(c["count"] == 0 for row in grid.cells for c in row if c is not grid.cells[0][0])
 
     def test_left_closed_boundary(self):
@@ -144,7 +144,7 @@ class TestVaHeatmap:
                   (random_pairs(rng, len(on_edges)), on_edges)]
         for preds, golds in inputs:
             grid = va_heatmap(preds, golds, edges, edges)
-            assert grid.total_count() == len(golds)
+            assert sum(c["count"] for row in grid.cells for c in row) == len(golds)
             for i in range(4):
                 for j in range(4):
                     members = []

@@ -86,9 +86,8 @@ class TestForward:
         assert tiny_model.predict_pairs(batch) == tiny_model.predict_pairs(batch)
 
     def test_zeroed_final_layer_predicts_midpoint(self, tiny_model):
-        for head in (tiny_model.head_v, tiny_model.head_a):
-            head.w2[:] = 0.0
-            head.b2[:] = 0.0
+        tiny_model.head.w2[:] = 0.0
+        tiny_model.head.b2[:] = 0.0
         for pair in tiny_model.predict_pairs(make_instances(5)):
             assert pair == VAPair(5.0, 5.0)
 
@@ -104,13 +103,13 @@ class TestForward:
     def test_head_independence(self, tiny_model):
         batch = make_instances(6)
         before = [p.valence for p in tiny_model.predict_pairs(batch)]
-        tiny_model.head_a.W1 += 0.37
-        tiny_model.head_a.w2 += 1.1
+        tiny_model.head.W1[1] += 0.37  # arousal
+        tiny_model.head.w2[1] += 1.1
         after = tiny_model.predict_pairs(batch)
         assert [p.valence for p in after] == before
-        # and perturbing head_v leaves arousal untouched
+        # and perturbing valence leaves arousal untouched
         arousal_before = [p.arousal for p in after]
-        tiny_model.head_v.W1 -= 0.8
+        tiny_model.head.W1[0] -= 0.8
         assert [p.arousal for p in tiny_model.predict_pairs(batch)] == arousal_before
 
     def test_empty_batch_rejected(self, tiny_model):
@@ -124,24 +123,26 @@ class TestForward:
 
 
 def head_gradient_check(d, seed, internal_dropout=False, dropout_rate=0.0):
-    """Relative error between analytic and central-difference gradients of
-    mean squared scaled output for one head on a fixed input batch. With a
-    dropout rate the head runs in training mode, drawing the same dropout mask
-    on every pass from a freshly seeded generator."""
+    """Relative error between analytic and central-difference gradients of the
+    summed per-head mean squared scaled output, over every parameter of both
+    stacked heads on a fixed input batch. With a dropout rate the heads run in
+    training mode, drawing the same dropout mask on every pass from a freshly
+    seeded generator."""
     rng = np.random.default_rng(seed)
     head = RegressionHead(d, rng, dropout_rate=dropout_rate, internal_dropout=internal_dropout)
     H = rng.normal(size=(5, d))
-    gold = rng.uniform(2.0, 8.0, size=5)
+    gold = rng.uniform(2.0, 8.0, size=(2, 5))
+    stacks = (head.W1, head.b1, head.w2, head.b2)
 
     def forward():
         return head.forward(H, train=dropout_rate > 0.0, rng=np.random.default_rng(seed + 100))
 
     def loss_of(params):
-        head.W1[:], head.b1[:], head.w2[:], head.b2[:] = (
-            params[0], params[1], params[2], params[3])
+        for stack, value in zip(stacks, params):
+            stack[...] = value
         z, _ = forward()
         pred = 1.0 / (1.0 + np.exp(-z)) * 8.0 + 1.0
-        return float(np.mean((pred - gold) ** 2))
+        return float(np.sum(np.mean((pred - gold) ** 2, axis=1)))
 
     # analytic
     z, cache = forward()
@@ -150,12 +151,14 @@ def head_gradient_check(d, seed, internal_dropout=False, dropout_rate=0.0):
     assert mask is None or (mask == 0.0).any()
     s = 1.0 / (1.0 + np.exp(-z))
     pred = s * 8.0 + 1.0
-    dz = (2.0 / len(gold)) * (pred - gold) * 8.0 * s * (1.0 - s)
-    grads = {k: np.zeros_like(v) for k, v in head.parameters("h").items()}
-    head.backward(dz, cache, grads, "h")
-    analytic = np.concatenate([grads[f"h.{n}"].ravel() for n in ("W1", "b1", "w2", "b2")])
+    dz = (2.0 / H.shape[0]) * (pred - gold) * 8.0 * s * (1.0 - s)
+    grads = {k: np.zeros_like(v) for k, v in head.parameters().items()}
+    head.backward(dz, cache, grads)
+    analytic = np.concatenate([
+        np.stack([grads[f"{prefix}.{n}"] for prefix in ("head_v", "head_a")]).ravel()
+        for n in ("W1", "b1", "w2", "b2")])
 
-    params = [head.W1.copy(), head.b1.copy(), head.w2.copy(), head.b2.copy()]
+    params = [p.copy() for p in stacks]
     flat = np.concatenate([p.ravel() for p in params])
     numeric = np.zeros_like(flat)
     eps = 1e-4
@@ -192,7 +195,8 @@ class TestGradients:
         model = DimASRModel(enc, seed=2, input_dropout_rate=0.0, head_dropout_rate=0.0)
         batch = make_instances(3, seed=5)
         rng = np.random.default_rng(0)
-        loss, grads, _ = model.loss_and_grads(batch, rng, zero_grads(model))
+        grads = zero_grads(model)
+        model.loss_and_grads(batch, rng, grads)
         scratch = zero_grads(model)
         params = model.parameters()
         eps = 1e-5
@@ -205,9 +209,9 @@ class TestGradients:
                 idx = (used, 0)
             orig = p[idx]
             p[idx] = orig + eps
-            up, _, _ = model.loss_and_grads(batch, np.random.default_rng(0), scratch)
+            up = model.loss_and_grads(batch, np.random.default_rng(0), scratch)
             p[idx] = orig - eps
-            down, _, _ = model.loss_and_grads(batch, np.random.default_rng(0), scratch)
+            down = model.loss_and_grads(batch, np.random.default_rng(0), scratch)
             p[idx] = orig
             numeric = (up - down) / (2 * eps)
             assert grads[name][idx] == pytest.approx(numeric, rel=1e-4, abs=1e-8)
@@ -239,4 +243,4 @@ def test_make_encoder_unknown_type():
 
 def test_head_hidden_width_floor():
     head = RegressionHead(9, np.random.default_rng(0))
-    assert head.W1.shape == (4, 9)
+    assert head.W1.shape == (2, 4, 9)
