@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 usage/config error, 2 data error, 3 runtime failure.
 
 from __future__ import annotations
 
+import dataclasses
 import datetime
 import functools
 import hashlib
@@ -62,6 +63,10 @@ def _load_yaml(path) -> dict:
             obj = yaml.safe_load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}")
+    except UnicodeDecodeError:
+        raise ConfigError(f"{path}: not UTF-8 text")
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: invalid YAML ({exc})")
     if not isinstance(obj, dict):
@@ -93,22 +98,22 @@ def main():
 
 
 @main.command()
-@click.option("--train-file", required=True, type=click.Path(exists=True))
-@click.option("--dev-file", type=click.Path(exists=True), help="Required for submission mode.")
+@click.option("--train-file", required=True, type=click.Path(exists=True, dir_okay=False))
+@click.option("--dev-file", type=click.Path(exists=True, dir_okay=False),
+              help="Required for submission mode.")
 @click.option("--format", "fmt", default="simple_jsonl", type=click.Choice(data_mod.FORMATS))
 @click.option("--mode", default="dev", type=click.Choice(["dev", "submission"]),
               help="dev: 80/20 split of the train file; submission: merge train+dev, hold out 10%.")
 @click.option("--ratio", default=0.8, show_default=True)
 @click.option("--holdout", default=0.1, show_default=True)
 @click.option("--seed", default=42, show_default=True)
-@click.option("--out", required=True, type=click.Path())
+@click.option("--out", required=True, type=click.Path(file_okay=False))
 @handle_errors
 def prepare(train_file, dev_file, fmt, mode, ratio, holdout, seed, out):
     """Expand sentences into instances and write the chosen split."""
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    train_records = data_mod.parse_dataset(train_file, format=fmt)
-    train_instances = data_mod.expand_instances(train_records)
+    train_instances = data_mod.parse_dataset(train_file, format=fmt)
     inputs = [train_file]
 
     if mode == "dev":
@@ -117,8 +122,7 @@ def prepare(train_file, dev_file, fmt, mode, ratio, holdout, seed, out):
     else:
         if dev_file is None:
             raise ConfigError("submission mode requires --dev-file")
-        dev_records = data_mod.parse_dataset(dev_file, format=fmt)
-        dev_instances = data_mod.expand_instances(dev_records)
+        dev_instances = data_mod.parse_dataset(dev_file, format=fmt)
         inputs.append(dev_file)
         split = data_mod.merge_and_hold_out(train_instances, dev_instances,
                                             holdout_fraction=holdout, seed=seed)
@@ -152,9 +156,9 @@ def _build_model_from_config(cfg: dict, train_cfg: TrainConfig) -> DimASRModel:
 
 
 @main.command()
-@click.option("--config", "config_path", required=True, type=click.Path())
+@click.option("--config", "config_path", required=True, type=click.Path(dir_okay=False))
 @click.option("--seed", type=int, default=None, help="Override the config seed.")
-@click.option("--out", required=True, type=click.Path())
+@click.option("--out", required=True, type=click.Path(file_okay=False))
 @handle_errors
 def train(config_path, seed, out):
     """Fine-tune one model per the config; writes checkpoint + history."""
@@ -197,12 +201,12 @@ def train(config_path, seed, out):
         encoding="utf-8",
     )
     tsv_path = out_dir / "history.tsv"
+    columns = [f.name for f in dataclasses.fields(trainer_mod.EpochRecord)]
     with tsv_path.open("w", encoding="utf-8") as fh:
-        fh.write("epoch\ttrain_loss\tval_rmse_va\tgrad_norm_mean\tgrad_norm_max\tclipped_frac\n")
+        fh.write("\t".join(columns) + "\n")
         for row in history.to_rows():
-            fh.write(f"{row['epoch']}\t{row['train_loss']:.6f}\t{row['val_rmse_va']:.6f}\t"
-                     f"{row['grad_norm_mean']:.6f}\t{row['grad_norm_max']:.6f}\t"
-                     f"{row['clipped_frac']:.6f}\n")
+            fh.write("\t".join(f"{row[c]:.6f}" if isinstance(row[c], float) else str(row[c])
+                               for c in columns) + "\n")
 
     click.echo(f"best epoch: {history.best_epoch} "
                f"(val rmse_va {history.records[history.best_epoch - 1].val_rmse_va:.4f})")
@@ -213,9 +217,10 @@ def train(config_path, seed, out):
 
 
 @main.command()
-@click.option("--checkpoint", required=True, type=click.Path(exists=True))
-@click.option("--instances", "instances_path", required=True, type=click.Path(exists=True))
-@click.option("--out", required=True, type=click.Path())
+@click.option("--checkpoint", required=True, type=click.Path(exists=True, file_okay=False))
+@click.option("--instances", "instances_path", required=True,
+              type=click.Path(exists=True, dir_okay=False))
+@click.option("--out", required=True, type=click.Path(file_okay=False))
 @handle_errors
 def predict(checkpoint, instances_path, out):
     """Eval-mode predictions for an instance file; writes predictions.jsonl."""
@@ -240,14 +245,14 @@ def _parse_edges(text: str):
 
 
 @main.command()
-@click.option("--gold", required=True, type=click.Path(exists=True))
-@click.option("--pred", required=True, type=click.Path(exists=True))
+@click.option("--gold", required=True, type=click.Path(exists=True, dir_okay=False))
+@click.option("--pred", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--gold-format", default="simple_jsonl", type=click.Choice(data_mod.FORMATS))
 @click.option("--edges", default="1,3,5,7,9", show_default=True,
               help="Heatmap bin edges (used on both axes).")
 @click.option("--method", default="model", show_default=True)
 @click.option("--dataset", default="dataset", show_default=True)
-@click.option("--out", required=True, type=click.Path())
+@click.option("--out", required=True, type=click.Path(file_okay=False))
 @handle_errors
 def evaluate(gold, pred, gold_format, edges, method, dataset, out):
     """Score a prediction file against gold and write the full report."""
@@ -288,14 +293,15 @@ def evaluate(gold, pred, gold_format, edges, method, dataset, out):
 
 
 @main.command("llm-baseline")
-@click.option("--config", "config_path", required=True, type=click.Path())
-@click.option("--instances", "instances_path", required=True, type=click.Path(exists=True))
-@click.option("--replay", type=click.Path(exists=True),
+@click.option("--config", "config_path", required=True, type=click.Path(dir_okay=False))
+@click.option("--instances", "instances_path", required=True,
+              type=click.Path(exists=True, dir_okay=False))
+@click.option("--replay", type=click.Path(exists=True, dir_okay=False),
               help="Transcript file to replay instead of live API calls.")
-@click.option("--exemplar-pool", type=click.Path(exists=True),
+@click.option("--exemplar-pool", type=click.Path(exists=True, dir_okay=False),
               help="Instance file to sample exemplars from (default: built-in set).")
 @click.option("--seed", default=42, show_default=True)
-@click.option("--out", required=True, type=click.Path())
+@click.option("--out", required=True, type=click.Path(file_okay=False))
 @handle_errors
 def llm_baseline(config_path, instances_path, replay, exemplar_pool, seed, out):
     """Run the few-shot prompting baseline (live or replayed)."""
@@ -335,10 +341,7 @@ def llm_baseline(config_path, instances_path, replay, exemplar_pool, seed, out):
 
 def _read_report(path) -> dict:
     """One `dimasr evaluate` report.json, with the fields compare reads."""
-    try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:  # bad JSON or bad UTF-8
-        raise DataError(f"{path}: not a JSON report ({exc})") from None
+    obj = data_mod.read_json(path)
     if not isinstance(obj, dict):
         raise DataError(f"{path}: expected a JSON object, got {type(obj).__name__}")
     for name, kind, what in (("method", str, "string"), ("dataset", str, "string"),
@@ -350,8 +353,8 @@ def _read_report(path) -> dict:
 
 
 @main.command()
-@click.argument("reports", nargs=-1, required=True, type=click.Path(exists=True))
-@click.option("--out", required=True, type=click.Path())
+@click.argument("reports", nargs=-1, required=True, type=click.Path(exists=True, dir_okay=False))
+@click.option("--out", required=True, type=click.Path(file_okay=False))
 @handle_errors
 def compare(reports, out):
     """Side-by-side table of evaluation reports: rows=methods, cols=datasets."""

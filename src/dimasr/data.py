@@ -1,6 +1,6 @@
-"""Dataset parsing, instance expansion, and split protocols.
+"""Dataset parsing, split protocols, and every on-disk JSON format.
 
-Two on-disk layouts are supported:
+Two dataset layouts are supported:
 
 * ``task_json``: one JSON array of sentence objects, each with an id, a text,
   and a list of per-aspect annotations carrying "V#A" strings. Each field is
@@ -10,9 +10,12 @@ Two on-disk layouts are supported:
 * ``simple_jsonl``: one sentence object per line:
   ``{"id": ..., "text": ..., "aspects": [{"aspect": ..., "va": "V#A"|null}]}``
 
-All operations are pure; splits are deterministic functions of the id set,
-seed, and ratio, and always operate at sentence level so no text leaks
-between the two sides.
+Parsing yields one AspectInstance per given aspect, the unit both training and
+scoring use. Splits are deterministic functions of the id set, seed, and
+ratio, and always operate at sentence level so no text leaks between the two
+sides. read_jsonl, read_json and write_jsonl are the only code that decodes or
+encodes these files, so every malformed file is a DataError naming the file
+(and, for JSON Lines, the line).
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -48,19 +51,6 @@ class VAPair:
 
 
 @dataclass(frozen=True)
-class SentenceRecord:
-    id: str
-    text: str
-    aspects: tuple  # of (aspect: str, gold: Optional[VAPair])
-
-    def __post_init__(self):
-        if not self.id:
-            raise DataError("sentence id must be non-empty")
-        if not self.aspects:
-            raise DataError(f"record {self.id!r}: empty aspect list")
-
-
-@dataclass(frozen=True)
 class AspectInstance:
     """One (text, aspect) sample; the unit both training and scoring use."""
 
@@ -79,8 +69,6 @@ class AspectInstance:
 class DatasetSplit:
     train: tuple  # of AspectInstance
     eval: tuple  # of AspectInstance
-    seed: int
-    ratio: float
 
 
 def parse_va_string(s: str) -> VAPair:
@@ -102,6 +90,55 @@ def format_va_string(pair: VAPair) -> str:
     return f"{pair.valence:.2f}#{pair.arousal:.2f}"
 
 
+# ---------------------------------------------------------------------------
+# JSON / JSON Lines files
+
+def read_jsonl(path) -> Iterator[tuple]:
+    """Yield ("file:line", object) for each non-blank line of a JSON Lines file.
+
+    Bytes that are not UTF-8, malformed JSON and a line that is not a JSON
+    object raise DataError naming the file and line."""
+    # undecodable bytes become lone surrogates, so the line they are on is known
+    with Path(path).open(encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            where = f"{path}:{lineno}"
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError:
+                    raise DataError(f"{where}: not UTF-8 text") from None
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except (ValueError, RecursionError) as exc:  # also over-long integers, deep nesting
+                raise DataError(f"{where}: malformed JSON ({getattr(exc, 'msg', exc)})") from None
+            if not isinstance(obj, dict):
+                raise DataError(f"{where}: expected an object, got {type(obj).__name__}")
+            yield where, obj
+
+
+def read_json(path):
+    """One whole JSON document. Bytes that are not UTF-8 and malformed JSON
+    raise DataError naming the file."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError:
+        raise DataError(f"{path}: not UTF-8 text") from None
+    except (ValueError, RecursionError) as exc:  # also over-long integers, deep nesting
+        raise DataError(f"{path}: malformed JSON ({getattr(exc, 'msg', exc)})") from None
+
+
+def write_jsonl(path, objs: Iterable[dict]) -> None:
+    """Write each object as one line of JSON, non-ASCII text kept as is."""
+    with Path(path).open("w", encoding="utf-8") as fh:
+        for obj in objs:
+            fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
+
+
+# ---------------------------------------------------------------------------
+# dataset files
+
 # Official-file key aliases for the task_json layout. Each logical field maps
 # to the candidate keys tried in order.
 DEFAULT_FIELD_MAP = {
@@ -122,16 +159,19 @@ def _pick(obj: Mapping, field: str, where: str):
     raise DataError(f"{where}: none of {DEFAULT_FIELD_MAP[field]} present")
 
 
-def _record_from_obj(obj, where: str) -> SentenceRecord:
+def _sentence_instances(obj, where: str) -> list:
+    """One AspectInstance per aspect of a sentence object, in aspect order."""
     if not isinstance(obj, dict):
         raise DataError(f"{where}: expected an object, got {type(obj).__name__}")
     rid = str(_pick(obj, "id", where))
-    text = _pick(obj, "text", where)
+    if not rid:
+        raise DataError(f"{where}: sentence id must be non-empty")
+    text = str(_pick(obj, "text", where))
     raw_aspects = _pick(obj, "aspect_list", where)
     if not isinstance(raw_aspects, list) or not raw_aspects:
         raise DataError(f"{where}: record {rid!r} has an empty aspect list")
-    aspects = []
-    for entry in raw_aspects:
+    instances = []
+    for index, entry in enumerate(raw_aspects):
         if isinstance(entry, dict):
             aspect = _pick(entry, "aspect", where)
             va = None
@@ -149,74 +189,40 @@ def _record_from_obj(obj, where: str) -> SentenceRecord:
                 gold = parse_va_string(str(va))
             except DataError as exc:
                 raise DataError(f"{where}: record {rid!r}: {exc}") from None
-        aspects.append((str(aspect), gold))
-    return SentenceRecord(rid, str(text), tuple(aspects))
-
-
-def parse_dataset(path, format: str = "simple_jsonl"):
-    """Parse a dataset file into SentenceRecords, preserving file order."""
-    if format not in FORMATS:
-        raise DataError(f"unknown format {format!r}, expected one of {FORMATS}")
-    path = Path(path)
-    records = []
-    seen = set()
-
-    if format == "simple_jsonl":
-        with path.open(encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise DataError(f"{path}:{lineno}: malformed JSON ({exc.msg})") from None
-                records.append(_record_from_obj(obj, f"{path}:{lineno}"))
-    else:
-        with path.open(encoding="utf-8") as fh:
-            try:
-                data = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}: malformed JSON ({exc.msg})") from None
-        if not isinstance(data, list):
-            raise DataError(f"{path}: task_json file must contain a JSON array")
-        for idx, obj in enumerate(data):
-            records.append(_record_from_obj(obj, f"{path}[{idx}]"))
-
-    for rec in records:
-        if rec.id in seen:
-            raise DataError(f"{path}: duplicate sentence id {rec.id!r}")
-        seen.add(rec.id)
-    return records
-
-
-def expand_instances(records: Iterable[SentenceRecord]):
-    """Flatten sentences into independent per-aspect instances."""
-    instances = []
-    for rec in records:
-        for idx, (aspect, gold) in enumerate(rec.aspects):
-            instances.append(AspectInstance(rec.id, idx, rec.text, aspect, gold))
+        instances.append(AspectInstance(rid, index, text, str(aspect), gold))
     return instances
 
 
-def _sentence_ids_in_order(instances) -> list:
-    seen = {}
-    for inst in instances:
-        seen.setdefault(inst.sentence_id, None)
-    return list(seen)
+def parse_dataset(path, format: str = "simple_jsonl") -> list:
+    """Parse a dataset file into one AspectInstance per given aspect, in file
+    order; aspect_index is the aspect's position within its sentence."""
+    if format not in FORMATS:
+        raise DataError(f"unknown format {format!r}, expected one of {FORMATS}")
+    if format == "simple_jsonl":
+        objects = read_jsonl(path)
+    else:
+        data = read_json(path)
+        if not isinstance(data, list):
+            raise DataError(f"{path}: task_json file must contain a JSON array")
+        objects = ((f"{path}[{idx}]", obj) for idx, obj in enumerate(data))
 
-
-def _split_by_sentences(instances, eval_ids):
-    eval_ids = set(eval_ids)
-    train = tuple(i for i in instances if i.sentence_id not in eval_ids)
-    evals = tuple(i for i in instances if i.sentence_id in eval_ids)
-    return train, evals
+    instances = []
+    seen = set()
+    for where, obj in objects:
+        sentence = _sentence_instances(obj, where)
+        rid = sentence[0].sentence_id
+        if rid in seen:
+            raise DataError(f"{where}: duplicate sentence id {rid!r}")
+        seen.add(rid)
+        instances.extend(sentence)
+    return instances
 
 
 def split_dev_protocol(instances, ratio: float = 0.8, seed: int = 42) -> DatasetSplit:
     """Sentence-level shuffled split: `ratio` of sentences to train, rest to eval."""
     if not 0.0 < ratio < 1.0:
         raise DataError(f"split ratio must be in (0, 1), got {ratio}")
-    ids = sorted(_sentence_ids_in_order(instances))
+    ids = sorted({i.sentence_id for i in instances})
     if len(ids) < 2:
         raise DataError(f"need at least 2 distinct sentences to split, got {len(ids)}")
     rng = np.random.default_rng(seed)
@@ -224,8 +230,8 @@ def split_dev_protocol(instances, ratio: float = 0.8, seed: int = 42) -> Dataset
     n_train = int(round(ratio * len(ids)))
     n_train = min(max(n_train, 1), len(ids) - 1)
     eval_ids = {ids[i] for i in order[n_train:]}
-    train, evals = _split_by_sentences(instances, eval_ids)
-    return DatasetSplit(train, evals, seed=seed, ratio=ratio)
+    return DatasetSplit(tuple(i for i in instances if i.sentence_id not in eval_ids),
+                        tuple(i for i in instances if i.sentence_id in eval_ids))
 
 
 def merge_and_hold_out(train, dev, holdout_fraction: float = 0.1, seed: int = 42) -> DatasetSplit:
@@ -240,64 +246,51 @@ def merge_and_hold_out(train, dev, holdout_fraction: float = 0.1, seed: int = 42
     overlap = train_ids & dev_ids
     if overlap:
         raise DataError(f"train/dev sentence ids overlap: {sorted(overlap)[:5]}")
-    merged = list(train) + list(dev)
-    split = split_dev_protocol(merged, ratio=1.0 - holdout_fraction, seed=seed)
-    return DatasetSplit(split.train, split.eval, seed=seed, ratio=1.0 - holdout_fraction)
+    return split_dev_protocol(list(train) + list(dev), ratio=1.0 - holdout_fraction, seed=seed)
 
 
 # ---------------------------------------------------------------------------
-# instance / prediction file io
+# instance / prediction files
 
-def _json_object(line: str, path, lineno: int, fields: Sequence[str]) -> dict:
-    """One line of an instance or prediction file: an object that holds every
-    name in `fields`, with an integer aspect_index."""
-    where = f"{path}:{lineno}"
-    try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{where}: malformed JSON ({exc.msg})") from None
-    if not isinstance(obj, dict):
-        raise DataError(f"{where}: expected an object, got {type(obj).__name__}")
-    for name in fields:
+def _check_fields(obj: dict, where: str, names: Sequence[str]) -> None:
+    """One line of an instance or prediction file holds every name in `names`,
+    with an integer aspect_index."""
+    for name in names:
         if name not in obj:
             raise DataError(f"{where}: missing field {name!r}")
     if type(obj["aspect_index"]) is not int:
         raise DataError(f"{where}: aspect_index must be an integer, got {obj['aspect_index']!r}")
-    return obj
 
 
-def _line_va(s, path, lineno: int) -> VAPair:
+def _line_va(s, where: str) -> VAPair:
     """parse_va_string for one line of a file; errors name the file and line."""
     try:
         return parse_va_string(s)
     except DataError as exc:
-        raise DataError(f"{path}:{lineno}: {exc}") from None
+        raise DataError(f"{where}: {exc}") from None
 
 
 def write_instances(instances, path) -> None:
-    with Path(path).open("w", encoding="utf-8") as fh:
-        for inst in instances:
-            obj = {
-                "id": inst.sentence_id,
-                "aspect_index": inst.aspect_index,
-                "text": inst.text,
-                "aspect": inst.aspect,
-                "va": format_va_string(inst.gold) if inst.gold is not None else None,
-            }
-            fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
+    write_jsonl(path, ({
+        "id": inst.sentence_id,
+        "aspect_index": inst.aspect_index,
+        "text": inst.text,
+        "aspect": inst.aspect,
+        "va": format_va_string(inst.gold) if inst.gold is not None else None,
+    } for inst in instances))
 
 
 def read_instances(path):
     instances = []
-    with Path(path).open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            obj = _json_object(line, path, lineno, ("id", "aspect_index", "text", "aspect"))
-            gold = _line_va(obj["va"], path, lineno) if obj.get("va") else None
-            instances.append(
-                AspectInstance(str(obj["id"]), obj["aspect_index"], obj["text"], obj["aspect"], gold)
-            )
+    for where, obj in read_jsonl(path):
+        _check_fields(obj, where, ("id", "aspect_index", "text", "aspect"))
+        for name in ("text", "aspect"):
+            if not isinstance(obj[name], str):
+                raise DataError(f"{where}: field {name!r} must be a string, got {obj[name]!r}")
+        gold = _line_va(obj["va"], where) if obj.get("va") else None
+        instances.append(
+            AspectInstance(str(obj["id"]), obj["aspect_index"], obj["text"], obj["aspect"], gold)
+        )
     return instances
 
 
@@ -305,27 +298,21 @@ def write_predictions(instances, pairs: Sequence[VAPair], path) -> None:
     """One line per instance: sentence_id, aspect, aspect_index, "V#A" (2 decimals)."""
     if len(instances) != len(pairs):
         raise DataError(f"{len(instances)} instances vs {len(pairs)} predictions")
-    with Path(path).open("w", encoding="utf-8") as fh:
-        for inst, pair in zip(instances, pairs):
-            obj = {
-                "id": inst.sentence_id,
-                "aspect": inst.aspect,
-                "aspect_index": inst.aspect_index,
-                "va": format_va_string(pair),
-            }
-            fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
+    write_jsonl(path, ({
+        "id": inst.sentence_id,
+        "aspect": inst.aspect,
+        "aspect_index": inst.aspect_index,
+        "va": format_va_string(pair),
+    } for inst, pair in zip(instances, pairs)))
 
 
 def read_predictions(path) -> dict:
     """Load a prediction file as {(sentence_id, aspect_index): VAPair}."""
     preds = {}
-    with Path(path).open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            obj = _json_object(line, path, lineno, ("id", "aspect_index", "va"))
-            key = (str(obj["id"]), obj["aspect_index"])
-            if key in preds:
-                raise DataError(f"{path}:{lineno}: duplicate prediction for {key}")
-            preds[key] = _line_va(obj["va"], path, lineno)
+    for where, obj in read_jsonl(path):
+        _check_fields(obj, where, ("id", "aspect_index", "va"))
+        key = (str(obj["id"]), obj["aspect_index"])
+        if key in preds:
+            raise DataError(f"{where}: duplicate prediction for {key}")
+        preds[key] = _line_va(obj["va"], where)
     return preds

@@ -14,16 +14,14 @@ recorded transcript so tests and CI never touch the network.
 
 from __future__ import annotations
 
-import json
 import os
 import re
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .data import DataError, VAPair, format_va_string
+from .data import DataError, VAPair, format_va_string, read_jsonl, write_jsonl
 
 DEFAULT_SYSTEM_PROMPT = """\
 You are an expert in sentiment analysis. Your task is to predict Valence and Arousal scores for aspects in sentences.
@@ -48,6 +46,9 @@ DEFAULT_EXEMPLARS = (
     ("it has and does everything it should.", "NULL", VAPair(5.67, 5.50)),
 )
 
+# the prediction recorded when every attempt for an instance fails: the scale midpoint
+FALLBACK = VAPair(5.0, 5.0)
+
 _VA_PATTERN = re.compile(r"(-?\d+(?:\.\d+)?)\s*#\s*(-?\d+(?:\.\d+)?)")
 
 
@@ -67,7 +68,6 @@ class LlmRunConfig:
     max_retries: int = 2
     api_key_env: str = "DIMASR_LLM_API_KEY"
     timeout: float = 60.0
-    fallback: VAPair = field(default_factory=lambda: VAPair(5.0, 5.0))
 
     def __post_init__(self):
         if self.temperature < 0:
@@ -78,9 +78,9 @@ def render_query(text: str, aspect: str) -> str:
     return f'Text: "{text}"\nAspect: "{aspect}"'
 
 
-def build_prompt(instance, exemplars=DEFAULT_EXEMPLARS, system_text: str = DEFAULT_SYSTEM_PROMPT) -> list:
+def build_prompt(instance, exemplars=DEFAULT_EXEMPLARS) -> list:
     """Chat message list: system, exemplar user/assistant turns, then the query."""
-    messages = [{"role": "system", "content": system_text}]
+    messages = [{"role": "system", "content": DEFAULT_SYSTEM_PROMPT}]
     for item in exemplars:
         if isinstance(item, tuple):
             text, aspect, gold = item
@@ -125,22 +125,12 @@ class ReplayTransport:
 
     def __init__(self, transcript_path):
         self.responses = {}
-        with Path(transcript_path).open(encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                where = f"{transcript_path}:{lineno}"
-                try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise DataError(f"{where}: malformed JSON ({exc.msg})") from None
-                if not isinstance(obj, dict):
-                    raise DataError(f"{where}: expected an object, got {type(obj).__name__}")
-                for name in ("key", "response"):
-                    if not isinstance(obj.get(name), str):
-                        raise DataError(f"{where}: field {name!r} must be a string, "
-                                        f"got {obj.get(name)!r}")
-                self.responses.setdefault(obj["key"], []).append(obj["response"])
+        for where, obj in read_jsonl(transcript_path):
+            for name in ("key", "response"):
+                if not isinstance(obj.get(name), str):
+                    raise DataError(f"{where}: field {name!r} must be a string, "
+                                    f"got {obj.get(name)!r}")
+            self.responses.setdefault(obj["key"], []).append(obj["response"])
         self._cursor = {}
 
     def complete(self, key: str, messages, config) -> str:
@@ -199,20 +189,19 @@ def run_baseline(
     config: LlmRunConfig,
     transport,
     exemplars=DEFAULT_EXEMPLARS,
-    system_text: str = DEFAULT_SYSTEM_PROMPT,
     transcript_out: Optional[object] = None,
 ):
     """One prediction per instance, in input order. Returns (pairs, log records).
 
     Parse/transport failures are retried up to config.max_retries, then the
-    fallback pair is recorded with status "fallback". The full transcript is
+    FALLBACK pair is recorded with status "fallback". The full transcript is
     written to `transcript_out` (a path) when given, enabling later replay.
     """
     predictions = []
     log = []
     for instance in instances:
         key = instance_key(instance)
-        messages = build_prompt(instance, exemplars, system_text)
+        messages = build_prompt(instance, exemplars)
         pair = None
         raw = None
         status = "fallback"
@@ -225,7 +214,7 @@ def run_baseline(
             except LlmError as exc:
                 raw = raw if raw is not None else f"<transport error: {exc}>"
         if pair is None:
-            pair = config.fallback
+            pair = FALLBACK
         predictions.append(pair)
         log.append(
             {
@@ -240,7 +229,5 @@ def run_baseline(
     if instances and n_fallback == len(instances):
         raise LlmError(f"all {n_fallback} requests failed; see run log")
     if transcript_out is not None:
-        with Path(transcript_out).open("w", encoding="utf-8") as fh:
-            for record in log:
-                fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+        write_jsonl(transcript_out, log)
     return predictions, log

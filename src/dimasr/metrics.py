@@ -16,12 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .data import (
-    VAPair,
-    expand_instances,
-    parse_dataset,
-    read_predictions,
-)
+from .data import VAPair, parse_dataset, read_predictions
 
 
 class MetricsError(ValueError):
@@ -138,13 +133,12 @@ def full_report(preds: Sequence[VAPair], golds: Sequence[VAPair]) -> EvalReport:
 
 
 def paired_from_files(gold_path, pred_path, gold_format: str = "simple_jsonl"):
-    """(preds, golds, instances) aligned lists from one parse of each file.
+    """(preds, golds) aligned lists from one parse of each file.
 
     Predictions are matched to gold instances on (sentence_id, aspect_index);
     every gold instance must have exactly one prediction.
     """
-    records = parse_dataset(gold_path, format=gold_format)
-    instances = [i for i in expand_instances(records) if i.gold is not None]
+    instances = [i for i in parse_dataset(gold_path, format=gold_format) if i.gold is not None]
     if not instances:
         raise MetricsError(f"{gold_path}: no gold-labeled instances")
     pred_map = read_predictions(pred_path)
@@ -158,7 +152,7 @@ def paired_from_files(gold_path, pred_path, gold_format: str = "simple_jsonl"):
 
     preds = [pred_map[i.key] for i in instances]
     golds = [i.gold for i in instances]
-    return preds, golds, instances
+    return preds, golds
 
 
 def score_files(gold_path, pred_path, gold_format: str = "simple_jsonl",
@@ -168,7 +162,7 @@ def score_files(gold_path, pred_path, gold_format: str = "simple_jsonl",
     The report carries the error heatmap over `edges` on both axes, built from
     the same aligned pairs (see paired_from_files).
     """
-    preds, golds, _ = paired_from_files(gold_path, pred_path, gold_format=gold_format)
+    preds, golds = paired_from_files(gold_path, pred_path, gold_format=gold_format)
     report = full_report(preds, golds)
     report.heatmap = va_heatmap(preds, golds, edges, edges)
     return report

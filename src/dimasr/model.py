@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import kernels
-from .data import AspectInstance, VAPair
+from .data import AspectInstance, VAPair, read_json
 
 CHECKPOINT_VERSION = 1
 PREDICT_BATCH = 64  # instances per eval-mode forward pass
@@ -361,21 +361,16 @@ def save_checkpoint(model: DimASRModel, path) -> None:
     np.savez(path / "params.npz", **model.parameters())
 
 
-def load_checkpoint(path, expected_hidden_dim: Optional[int] = None) -> DimASRModel:
+def load_checkpoint(path) -> DimASRModel:
     path = Path(path)
     manifest_path = path / "manifest.json"
     if not manifest_path.exists():
         raise ModelError(f"no checkpoint manifest at {manifest_path}")
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    manifest = read_json(manifest_path)
     if manifest.get("format_version") != CHECKPOINT_VERSION:
         raise ModelError(
             f"checkpoint format version {manifest.get('format_version')} "
             f"!= supported {CHECKPOINT_VERSION}"
-        )
-    if expected_hidden_dim is not None and manifest["hidden_dim"] != expected_hidden_dim:
-        raise ModelError(
-            f"hidden_dim mismatch: checkpoint has {manifest['hidden_dim']}, "
-            f"config expects {expected_hidden_dim}"
         )
     encoder = make_encoder(manifest["encoder"])
     model = DimASRModel(

@@ -50,8 +50,12 @@ class TrainConfig:
 
     @classmethod
     def from_mapping(cls, mapping: dict) -> "TrainConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        return cls(**{k: v for k, v in mapping.items() if k in known})
+        """A config from a `train:` mapping; a key that is not a field is an
+        error, so a misspelt setting never falls back to its default."""
+        unknown = sorted(str(k) for k in set(mapping) - set(cls.__dataclass_fields__))
+        if unknown:
+            raise TrainerError(f"unknown train settings: {', '.join(unknown)}")
+        return cls(**mapping)
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -8,6 +9,7 @@ from click.testing import CliRunner
 
 from dimasr.cli import main
 from dimasr.model import TinyEncoder, DimASRModel, save_checkpoint
+from dimasr.trainer import EpochRecord
 from .conftest import FIXTURES
 
 
@@ -88,6 +90,7 @@ class TestTrain:
         tsv = (out / "history.tsv").read_text().splitlines()
         assert tsv[0].startswith("epoch\ttrain_loss\tval_rmse_va")
         assert tsv[0].endswith("\tgrad_norm_mean\tgrad_norm_max\tclipped_frac")
+        assert tsv[0].split("\t") == [f.name for f in dataclasses.fields(EpochRecord)]
         assert len(tsv) == len(history["records"]) + 1
         assert {"grad_norm_mean", "grad_norm_max", "clipped_frac"} <= set(history["records"][0])
 
@@ -119,6 +122,23 @@ class TestTrain:
                                       "--out", str(tmp_path / "run")])
         assert result.exit_code == 1
 
+    def test_unknown_setting_is_config_error(self, runner, prepared, tmp_path):
+        cfg = write_train_config(tmp_path / "cfg.yaml", prepared / "train.jsonl",
+                                 prepared / "eval.jsonl", learning_rat=0.5, adam_beta1=0.5)
+        result = runner.invoke(main, ["train", "--config", str(cfg),
+                                      "--out", str(tmp_path / "run")])
+        assert result.exit_code == 1
+        assert "config error: unknown train settings: adam_beta1, learning_rat" in result.output
+        assert not (tmp_path / "run").exists()
+
+    def test_non_utf8_config_is_config_error(self, runner, tmp_path):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_bytes(b"train:\n  seed: \xff\n")
+        result = runner.invoke(main, ["train", "--config", str(cfg),
+                                      "--out", str(tmp_path / "run")])
+        assert result.exit_code == 1
+        assert f"config error: {cfg}: not UTF-8 text" in result.output
+
 
 class TestPredict:
     @pytest.fixture
@@ -148,6 +168,25 @@ class TestPredict:
             contents.append((out / "predictions.jsonl").read_bytes())
         assert contents[0] == contents[1]
 
+    def test_non_utf8_instances_exit_code(self, runner, prepared, zero_head_checkpoint, tmp_path):
+        instances = tmp_path / "inst.jsonl"
+        first = (prepared / "eval.jsonl").read_bytes().splitlines()[0]
+        instances.write_bytes(first + b"\n" + first.replace(b'"text": "', b'"text": "\xe9') + b"\n")
+        result = runner.invoke(main, ["predict", "--checkpoint", str(zero_head_checkpoint),
+                                      "--instances", str(instances), "--out", str(tmp_path / "o")])
+        assert result.exit_code == 2
+        assert f"data error: {instances}:2: not UTF-8 text" in result.output
+
+    def test_corrupt_checkpoint_manifest_exit_code(self, runner, prepared,
+                                                   zero_head_checkpoint, tmp_path):
+        manifest = zero_head_checkpoint / "manifest.json"
+        manifest.write_text(manifest.read_text()[:-5])
+        result = runner.invoke(main, ["predict", "--checkpoint", str(zero_head_checkpoint),
+                                      "--instances", str(prepared / "eval.jsonl"),
+                                      "--out", str(tmp_path / "o")])
+        assert result.exit_code == 2
+        assert f"data error: {manifest}: malformed JSON" in result.output
+
 
 class TestEvaluate:
     def test_fixture_report(self, runner, tmp_path):
@@ -168,7 +207,7 @@ class TestEvaluate:
 
         gold = FIXTURES / "gold_5.jsonl"
         pred = tmp_path / "pred.jsonl"
-        instances = d.expand_instances(d.parse_dataset(gold))
+        instances = d.parse_dataset(gold)
         d.write_predictions(instances, [i.gold for i in instances], pred)
         out = tmp_path / "eval"
         run_ok(runner, ["evaluate", "--gold", str(gold), "--pred", str(pred),
@@ -270,7 +309,7 @@ class TestCompare:
         assert result.exit_code == 2
 
     @pytest.mark.parametrize("text,message", [
-        ("not json", "not a JSON report"),
+        ("not json", "malformed JSON"),
         ("[1.0]", "expected a JSON object, got list"),
         ('{"dataset": "d", "rmse_va": 1.0}', "field 'method' must be a string"),
         ('{"method": "m", "rmse_va": 1.0}', "field 'dataset' must be a string"),
@@ -284,3 +323,27 @@ class TestCompare:
         result = runner.invoke(main, ["compare", good, str(bad), "--out", str(tmp_path / "cmp")])
         assert result.exit_code == 2
         assert f"{bad}: {message}" in result.output
+
+
+class TestPathArguments:
+    """A directory where a file belongs, or a file where a directory belongs,
+    is a usage error (exit 1) that click reports, not a traceback."""
+
+    @pytest.mark.parametrize("command", [
+        ["prepare", "--train-file", "{tmp}", "--out", "{tmp}/o"],
+        ["train", "--config", "{tmp}", "--out", "{tmp}/o"],
+        ["predict", "--checkpoint", "{fixtures}/gold_5.jsonl", "--instances",
+         "{fixtures}/llm_instances.jsonl", "--out", "{tmp}/o"],
+        ["evaluate", "--gold", "{tmp}", "--pred", "{fixtures}/pred_5.jsonl", "--out", "{tmp}/o"],
+        ["llm-baseline", "--config", "{fixtures}/llm_config.yaml", "--instances",
+         "{fixtures}/llm_instances.jsonl", "--replay", "{tmp}", "--out", "{tmp}/o"],
+        ["compare", "{tmp}", "--out", "{tmp}/o"],
+        ["compare", "{fixtures}/gold_5.jsonl", "--out", "{fixtures}/pred_5.jsonl"],
+    ], ids=["prepare-train-file", "train-config", "predict-checkpoint", "evaluate-gold",
+            "llm-baseline-replay", "compare-report", "compare-out"])
+    def test_wrong_kind_of_path_is_usage_error(self, runner, tmp_path, command):
+        args = [a.format(tmp=tmp_path, fixtures=FIXTURES) for a in command]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # not an uncaught exception
+        assert "is a directory" in result.output or "is a file" in result.output

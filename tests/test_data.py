@@ -1,21 +1,23 @@
 import json
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from dimasr.data import (
+    AspectInstance,
     DataError,
     VAPair,
-    expand_instances,
     format_va_string,
     merge_and_hold_out,
     parse_dataset,
     parse_va_string,
     read_instances,
+    read_json,
     read_predictions,
     split_dev_protocol,
     write_instances,
 )
+from dimasr.llm import ReplayTransport
 from .conftest import FIXTURES, make_instances
 
 
@@ -65,17 +67,18 @@ class TestVAPair:
 
 class TestParseDataset:
     def test_simple_jsonl(self):
-        records = parse_dataset(FIXTURES / "tiny_dataset.jsonl", "simple_jsonl")
-        assert [r.id for r in records][:3] == ["s1", "s2", "s3"]
-        assert records[0].aspects[0] == ("food", VAPair(8.50, 8.25))
-        assert records[3].aspects[0][0] == "NULL"
+        instances = parse_dataset(FIXTURES / "tiny_dataset.jsonl", "simple_jsonl")
+        assert [i.sentence_id for i in instances][:5] == ["s1", "s2", "s3", "s3", "s4"]
+        assert instances[0] == AspectInstance("s1", 0, "the food was absolutely amazing!",
+                                              "food", VAPair(8.50, 8.25))
+        assert instances[4].aspect == "NULL"
 
     def test_task_json(self):
-        records = parse_dataset(FIXTURES / "tiny_dataset_task.json", "task_json")
-        assert len(records) == 3
-        assert records[1].aspects[1] == ("battery", VAPair(2.80, 6.20))
+        instances = parse_dataset(FIXTURES / "tiny_dataset_task.json", "task_json")
+        assert [i.key for i in instances] == [("t1", 0), ("t2", 0), ("t2", 1), ("t3", 0)]
+        assert (instances[2].aspect, instances[2].gold) == ("battery", VAPair(2.80, 6.20))
         # alternate aspect-list key is tolerated
-        assert records[2].aspects[0][0] == "NULL"
+        assert instances[3].aspect == "NULL"
 
     def test_malformed_line_names_line_number(self, tmp_path):
         p = tmp_path / "bad.jsonl"
@@ -107,26 +110,35 @@ class TestParseDataset:
             parse_dataset(FIXTURES / "tiny_dataset.jsonl", "csv")
 
 
+def _fixture_sentences():
+    lines = (FIXTURES / "tiny_dataset.jsonl").read_text(encoding="utf-8").splitlines()
+    return [json.loads(line) for line in lines]
+
+
 class TestExpandInstances:
+    """parse_dataset expands each sentence into one instance per given aspect."""
+
     def test_counts(self):
-        records = parse_dataset(FIXTURES / "tiny_dataset.jsonl")
-        instances = expand_instances(records)
-        assert len(instances) == sum(len(r.aspects) for r in records) == 13
+        instances = parse_dataset(FIXTURES / "tiny_dataset.jsonl")
+        assert len(instances) == sum(len(s["aspects"]) for s in _fixture_sentences()) == 13
 
     def test_shared_text(self):
-        records = parse_dataset(FIXTURES / "tiny_dataset.jsonl")
-        instances = [i for i in expand_instances(records) if i.sentence_id == "s3"]
+        instances = [i for i in parse_dataset(FIXTURES / "tiny_dataset.jsonl")
+                     if i.sentence_id == "s3"]
         assert len(instances) == 2  # s3 has 2 aspects
         assert instances[0].text == instances[1].text
         assert (instances[0].aspect_index, instances[1].aspect_index) == (0, 1)
 
-    def test_empty(self):
-        assert expand_instances([]) == []
+    def test_empty(self, tmp_path):
+        # blank lines, with or without a carriage return, are skipped
+        p = tmp_path / "blank.jsonl"
+        p.write_bytes(b"\n  \r\n\n")
+        assert parse_dataset(p) == []
 
     def test_preserves_pair_multiset(self):
-        records = parse_dataset(FIXTURES / "tiny_dataset.jsonl")
-        instances = expand_instances(records)
-        expected = sorted((r.text, a) for r in records for a, _ in r.aspects)
+        instances = parse_dataset(FIXTURES / "tiny_dataset.jsonl")
+        expected = sorted((s["text"], a["aspect"]) for s in _fixture_sentences()
+                          for a in s["aspects"])
         assert sorted((i.text, i.aspect) for i in instances) == expected
 
 
@@ -201,8 +213,7 @@ class TestMergeAndHoldOut:
 
 class TestInstanceIo:
     def test_round_trip(self, tmp_path):
-        records = parse_dataset(FIXTURES / "tiny_dataset.jsonl")
-        instances = expand_instances(records)
+        instances = parse_dataset(FIXTURES / "tiny_dataset.jsonl")
         path = tmp_path / "inst.jsonl"
         write_instances(instances, path)
         assert read_instances(path) == instances
@@ -248,3 +259,82 @@ class TestMalformedLines:
         path = _write_lines(tmp_path / "pred.jsonl", [GOOD_PREDICTION, bad])
         with pytest.raises(DataError, match=r"pred\.jsonl:2: missing field 'aspect_index'"):
             read_predictions(path)
+
+    @pytest.mark.parametrize("name", ["text", "aspect"])
+    def test_instance_with_non_string_field(self, tmp_path, name):
+        path = _write_lines(tmp_path / "inst.jsonl", [dict(GOOD_INSTANCE, **{name: 5})])
+        with pytest.raises(DataError, match=rf"inst\.jsonl:1: field '{name}' must be a string, got 5"):
+            read_instances(path)
+
+    @pytest.mark.parametrize("line,message", [
+        (b"\xff\xfe{}", "not UTF-8 text"),
+        (b"[" * 100_000, "malformed JSON"),
+        (b"1" * 5_000, "malformed JSON"),
+        (b"[1, 2]", "expected an object, got list"),
+    ], ids=["not-utf8", "deep-nesting", "long-integer", "not-an-object"])
+    def test_bad_line_names_file_and_line(self, tmp_path, line, message):
+        path = tmp_path / "inst.jsonl"
+        path.write_bytes(json.dumps(GOOD_INSTANCE).encode() + b"\r\n" + line + b"\n")
+        with pytest.raises(DataError, match=rf"inst\.jsonl:2: {message}"):
+            read_instances(path)
+
+    def test_empty_sentence_id_names_line(self, tmp_path):
+        path = _write_lines(tmp_path / "data.jsonl", [
+            {"id": "a", "text": "t", "aspects": ["x"]},
+            {"id": "", "text": "t", "aspects": ["x"]},
+        ])
+        with pytest.raises(DataError, match=r"data\.jsonl:2: sentence id must be non-empty"):
+            parse_dataset(path)
+
+
+# Every key some reader looks up, so generated objects reach past the
+# missing-field checks and exercise the type checks behind them.
+FIELD_NAMES = ("id", "ID", "text", "Text", "aspects", "Aspect_VA", "Quadruplet", "aspect",
+               "Aspect", "va", "VA", "aspect_index", "key", "response")
+_json_leaves = (st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
+                | st.sampled_from(["5.00#5.00", "1#9", "10#4", "a#b", "nan#5", "5"]))
+_json_values = st.recursive(
+    _json_leaves,
+    lambda children: (st.lists(children, max_size=3)
+                      | st.dictionaries(st.sampled_from(FIELD_NAMES) | st.text(max_size=3),
+                                        children, max_size=5)),
+    max_leaves=8,
+)
+_json_objects = st.dictionaries(st.sampled_from(FIELD_NAMES), _json_values, max_size=6)
+_line = (_json_objects | _json_values).map(lambda v: json.dumps(v).encode()) | st.binary(max_size=12)
+FILE_CONTENTS = st.one_of(
+    st.binary(),
+    st.lists(_line, max_size=5).map(b"\n".join),
+    st.lists(_json_objects, max_size=4).map(lambda v: json.dumps(v).encode()),
+)
+
+READERS = {
+    "parse_dataset-simple_jsonl": lambda path: parse_dataset(path, "simple_jsonl"),
+    "parse_dataset-task_json": lambda path: parse_dataset(path, "task_json"),
+    "read_instances": read_instances,
+    "read_predictions": read_predictions,
+    "ReplayTransport": ReplayTransport,
+    "read_json": read_json,
+}
+
+
+@pytest.mark.parametrize("reader", sorted(READERS))
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(content=FILE_CONTENTS)
+@example(content=b'{"id": "s\xff"}\n')
+@example(content=b'[{"ID": "t1", "Text": "\xc3", "Aspect_VA": ["x"]}]')
+def test_readers_raise_only_data_error(tmp_path, reader, content):
+    """Whatever bytes a file holds, a reader returns well-typed values or
+    raises DataError; no other exception escapes to the command line."""
+    path = tmp_path / "input"
+    path.write_bytes(content)
+    try:
+        result = READERS[reader](path)
+    except DataError:
+        return
+    if reader.startswith("parse_dataset") or reader == "read_instances":
+        for inst in result:
+            assert isinstance(inst.sentence_id, str) and type(inst.aspect_index) is int
+            assert isinstance(inst.text, str) and isinstance(inst.aspect, str)
+            assert inst.gold is None or isinstance(inst.gold, VAPair)

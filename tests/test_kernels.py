@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from dimasr import kernels
-from dimasr.data import expand_instances, parse_dataset, split_dev_protocol
+from dimasr.data import parse_dataset, split_dev_protocol
 from dimasr.kernels import clip_gradients, global_grad_norm
 from dimasr.model import DimASRModel, TinyEncoder
 from dimasr.trainer import TrainConfig, fit
@@ -134,7 +134,7 @@ def test_adamw_rejects_non_contiguous():
 
 def _smoke_fit():
     """configs/smoke.yaml's encoder and training settings on the tiny fixture."""
-    instances = expand_instances(parse_dataset(FIXTURES / "tiny_dataset.jsonl"))
+    instances = parse_dataset(FIXTURES / "tiny_dataset.jsonl")
     split = split_dev_protocol(instances, ratio=0.8, seed=42)
     model = DimASRModel(TinyEncoder(dim=32, vocab_size=4096, seed=0), seed=42,
                         input_dropout_rate=0.0, head_dropout_rate=0.0)

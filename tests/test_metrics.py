@@ -178,12 +178,12 @@ class TestVaHeatmap:
 class TestScoreFiles:
     def test_identity(self, tmp_path):
         import json
-        from dimasr.data import expand_instances, format_va_string, parse_dataset
+        from dimasr.data import format_va_string, parse_dataset
 
         gold = FIXTURES / "gold_5.jsonl"
         pred = tmp_path / "pred.jsonl"
         with pred.open("w") as fh:
-            for inst in expand_instances(parse_dataset(gold)):
+            for inst in parse_dataset(gold):
                 fh.write(json.dumps({"id": inst.sentence_id, "aspect": inst.aspect,
                                      "aspect_index": inst.aspect_index,
                                      "va": format_va_string(inst.gold)}) + "\n")

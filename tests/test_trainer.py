@@ -86,9 +86,10 @@ class TestTrainConfig:
         with pytest.raises(TrainerError):
             TrainConfig(warmup_ratio=1.0)
 
-    def test_from_mapping_ignores_unknown(self):
-        cfg = TrainConfig.from_mapping({"batch_size": 8, "data_path": "x"})
-        assert cfg.batch_size == 8
+    def test_from_mapping_rejects_unknown(self):
+        assert TrainConfig.from_mapping({"batch_size": 8}).batch_size == 8
+        with pytest.raises(TrainerError, match="unknown train settings: adam_beta1, learning_rat"):
+            TrainConfig.from_mapping({"learning_rat": 0.5, "adam_beta1": 0.5})
 
 
 class TestFit:
