@@ -13,7 +13,6 @@ import dataclasses
 import datetime
 import functools
 import hashlib
-import json
 import sys
 from pathlib import Path
 
@@ -24,16 +23,12 @@ from . import data as data_mod
 from . import llm as llm_mod
 from . import metrics as metrics_mod
 from . import trainer as trainer_mod
-from .data import DataError
+from .data import ConfigError, DataError
 from .metrics import MetricsError
 from .model import DimASRModel, ModelError, load_checkpoint, make_encoder, save_checkpoint
 from .trainer import TrainConfig, TrainerError
 
 click.UsageError.exit_code = 1
-
-
-class ConfigError(Exception):
-    pass
 
 
 def _sha256(path: Path) -> str:
@@ -54,15 +49,14 @@ def write_manifest(out_dir: Path, command: str, config: dict, inputs: list, outp
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "checksums": {Path(p).name: _sha256(Path(p)) for p in outputs if Path(p).is_file()},
     }
-    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2), encoding="utf-8")
+    data_mod.write_json(out_dir / "manifest.json", manifest)
 
 
-def _load_yaml(path) -> dict:
+def _load_yaml(path, keys: dict) -> dict:
+    """A config file's top level, closed to the keys in `keys` and typed by them."""
     try:
         with Path(path).open(encoding="utf-8") as fh:
             obj = yaml.safe_load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}")
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc.strerror}")
     except UnicodeDecodeError:
@@ -71,6 +65,12 @@ def _load_yaml(path) -> dict:
         raise ConfigError(f"{path}: invalid YAML ({exc})")
     if not isinstance(obj, dict):
         raise ConfigError(f"{path}: config must be a mapping")
+    unknown = sorted(str(k) for k in set(obj) - set(keys))
+    if unknown:
+        raise ConfigError(f"{path}: unknown top-level settings: {', '.join(unknown)}")
+    for key, value in obj.items():
+        if isinstance(value, bool) or not isinstance(value, keys[key]):
+            raise ConfigError(f"{path}: {key} must be {data_mod.KINDS[keys[key]]}, got {value!r}")
     return obj
 
 
@@ -142,19 +142,6 @@ def prepare(train_file, dev_file, fmt, mode, ratio, holdout, seed, out):
                    inputs, outputs, seed)
 
 
-def _build_model_from_config(cfg: dict, train_cfg: TrainConfig) -> DimASRModel:
-    encoder_spec = dict(cfg.get("encoder", {"type": "tiny"}))
-    encoder_spec.setdefault("max_len", train_cfg.max_len)
-    encoder = make_encoder(encoder_spec)
-    return DimASRModel(
-        encoder,
-        seed=train_cfg.seed,
-        input_dropout_rate=train_cfg.dropout,
-        head_dropout_rate=train_cfg.dropout,
-        head_internal_dropout=train_cfg.head_internal_dropout,
-    )
-
-
 @main.command()
 @click.option("--config", "config_path", required=True, type=click.Path(dir_okay=False))
 @click.option("--seed", type=int, default=None, help="Override the config seed.")
@@ -162,29 +149,30 @@ def _build_model_from_config(cfg: dict, train_cfg: TrainConfig) -> DimASRModel:
 @handle_errors
 def train(config_path, seed, out):
     """Fine-tune one model per the config; writes checkpoint + history."""
-    cfg = _load_yaml(config_path)
+    cfg = _load_yaml(config_path, {"name": str, "encoder": dict, "data": dict, "train": dict})
     overrides = dict(cfg.get("train", {}))
     if seed is not None:
         overrides["seed"] = seed
-    try:
-        train_cfg = TrainConfig.from_mapping(overrides)
-    except TrainerError as exc:
-        raise ConfigError(str(exc))
+    train_cfg = TrainConfig.from_mapping(overrides)
+    # the encoder's max_len defaults to the train section's
+    encoder = make_encoder({"max_len": train_cfg.max_len, **cfg.get("encoder", {})})
+    model = DimASRModel(encoder, seed=train_cfg.seed, input_dropout_rate=train_cfg.dropout,
+                        head_dropout_rate=train_cfg.dropout,
+                        head_internal_dropout=train_cfg.head_internal_dropout)
 
     data_cfg = cfg.get("data", {})
-    if "fit" not in data_cfg or "val" not in data_cfg:
-        raise ConfigError("config must name data.fit and data.val instance files "
-                          "(validation set required)")
+    if set(data_cfg) != {"fit", "val"} or not all(isinstance(p, str) and Path(p).is_file()
+                                                  for p in data_cfg.values()):
+        raise ConfigError("config must name data.fit and data.val instance files, and no other "
+                          f"data setting (validation set required), got {data_cfg}")
     fit_set = data_mod.read_instances(data_cfg["fit"])
     val_set = data_mod.read_instances(data_cfg["val"])
-    if not val_set:
-        raise TrainerError("validation set required for early stopping")
 
+    resolved = dataclasses.asdict(train_cfg)
     click.echo("resolved hyperparameters:")
-    for key, value in train_cfg.to_dict().items():
+    for key, value in resolved.items():
         click.echo(f"  {key}: {value}")
 
-    model = _build_model_from_config(cfg, train_cfg)
     model, history = trainer_mod.fit(model, fit_set, val_set, train_cfg)
 
     out_dir = Path(out)
@@ -192,25 +180,19 @@ def train(config_path, seed, out):
     ckpt_dir = out_dir / "checkpoint"
     save_checkpoint(model, ckpt_dir)
     history_path = out_dir / "history.json"
-    history_path.write_text(
-        json.dumps(
-            {"records": history.to_rows(), "best_epoch": history.best_epoch,
-             "stopped_early": history.stopped_early},
-            indent=2,
-        ),
-        encoding="utf-8",
-    )
+    history_json = dataclasses.asdict(history)
+    data_mod.write_json(history_path, history_json)
     tsv_path = out_dir / "history.tsv"
     columns = [f.name for f in dataclasses.fields(trainer_mod.EpochRecord)]
     with tsv_path.open("w", encoding="utf-8") as fh:
         fh.write("\t".join(columns) + "\n")
-        for row in history.to_rows():
+        for row in history_json["records"]:
             fh.write("\t".join(f"{row[c]:.6f}" if isinstance(row[c], float) else str(row[c])
                                for c in columns) + "\n")
 
     click.echo(f"best epoch: {history.best_epoch} "
                f"(val rmse_va {history.records[history.best_epoch - 1].val_rmse_va:.4f})")
-    write_manifest(out_dir, "train", {"config_file": str(config_path), **train_cfg.to_dict()},
+    write_manifest(out_dir, "train", {"config_file": str(config_path), **resolved},
                    [config_path, data_cfg["fit"], data_cfg["val"]],
                    [history_path, tsv_path, ckpt_dir / "params.npz", ckpt_dir / "manifest.json"],
                    train_cfg.seed)
@@ -263,15 +245,10 @@ def evaluate(gold, pred, gold_format, edges, method, dataset, out):
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
     report_path = out_dir / "report.json"
-    report_path.write_text(
-        json.dumps(
-            {"method": method, "dataset": dataset, **report.to_dict(),
-             "heatmap": grid.to_dict(),
-             "heatmap_note": "bin edges are configurable; defaults give a 4x4 grid"},
-            indent=2,
-        ),
-        encoding="utf-8",
-    )
+    # the report's fields, its heatmap last, as report.json's keys
+    data_mod.write_json(report_path, {
+        "method": method, "dataset": dataset, **dataclasses.asdict(report),
+        "heatmap_note": "bin edges are configurable; defaults give a 4x4 grid"})
     text_path = out_dir / "report.txt"
     lines = [
         f"method: {method}  dataset: {dataset}  n={report.n}",
@@ -305,17 +282,16 @@ def evaluate(gold, pred, gold_format, edges, method, dataset, out):
 @handle_errors
 def llm_baseline(config_path, instances_path, replay, exemplar_pool, seed, out):
     """Run the few-shot prompting baseline (live or replayed)."""
-    cfg = _load_yaml(config_path)
-    llm_cfg_fields = {k: v for k, v in cfg.get("llm", cfg).items()
-                      if k in ("base_url", "model", "temperature", "max_retries",
-                               "api_key_env", "timeout")}
-    run_cfg = llm_mod.LlmRunConfig(**llm_cfg_fields)
+    cfg = _load_yaml(config_path, {"llm": dict, "n_exemplars": int})
+    run_cfg = data_mod.from_mapping(llm_mod.LlmRunConfig, cfg.get("llm", {}), "llm")
+    k = cfg.get("n_exemplars", 6)
+    if k < 1:
+        raise ConfigError(f"n_exemplars must be >= 1, got {k}")
     instances = data_mod.read_instances(instances_path)
 
     exemplars = llm_mod.DEFAULT_EXEMPLARS
     if exemplar_pool is not None:
         pool = data_mod.read_instances(exemplar_pool)
-        k = int(cfg.get("n_exemplars", 6))
         exemplars = llm_mod.sample_exemplars(pool, k=k, seed=seed)
 
     if replay is not None:
@@ -390,7 +366,7 @@ def compare(reports, out):
     table_path = out_dir / "comparison.tsv"
     table_path.write_text(text, encoding="utf-8")
     json_path = out_dir / "comparison.json"
-    json_path.write_text(json.dumps({"table": table, "best": best}, indent=2), encoding="utf-8")
+    data_mod.write_json(json_path, {"table": table, "best": best})
     click.echo(text, nl=False)
     write_manifest(out_dir, "compare", {}, list(reports), [table_path, json_path], None)
 

@@ -13,13 +13,15 @@ Two dataset layouts are supported:
 Parsing yields one AspectInstance per given aspect, the unit both training and
 scoring use. Splits are deterministic functions of the id set, seed, and
 ratio, and always operate at sentence level so no text leaks between the two
-sides. read_jsonl, read_json and write_jsonl are the only code that decodes or
-encodes these files, so every malformed file is a DataError naming the file
-(and, for JSON Lines, the line).
+sides. read_jsonl, read_json, write_jsonl and write_json are the only code
+that decodes or encodes these files, so every malformed file is a DataError
+naming the file (and, for JSON Lines, the line); from_mapping is the only
+reader of a config section or checkpoint manifest.
 """
 
 from __future__ import annotations
 
+import inspect
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -33,6 +35,10 @@ VA_MAX = 9.0
 
 class DataError(ValueError):
     """Malformed or inconsistent dataset input."""
+
+
+class ConfigError(ValueError):
+    """A malformed config setting or command-line choice."""
 
 
 @dataclass(frozen=True)
@@ -134,6 +140,40 @@ def write_jsonl(path, objs: Iterable[dict]) -> None:
     with Path(path).open("w", encoding="utf-8") as fh:
         for obj in objs:
             fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
+
+
+def write_json(path, obj) -> None:
+    """Write one JSON document, indented by two spaces."""
+    Path(path).write_text(json.dumps(obj, indent=2), encoding="utf-8")
+
+
+# how a message names each type a setting may have
+KINDS = {bool: "true or false", int: "an integer", float: "a number", str: "a string",
+         dict: "a mapping"}
+
+
+def from_mapping(cls, obj, where: str):
+    """cls(**obj) for a settings mapping read from a file, keyed by the annotated
+    parameters of cls's __init__. An int passes as a float; a bool only as a bool.
+    Any error in the mapping is a ConfigError naming `where` or the key."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where} settings must be a mapping, got {type(obj).__name__}")
+    params = inspect.signature(cls, eval_str=True).parameters
+    unknown = sorted(str(k) for k in set(obj) - set(params))
+    if unknown:
+        raise ConfigError(f"unknown {where} settings: {', '.join(unknown)}")
+    missing = [name for name, p in params.items() if p.default is p.empty and name not in obj]
+    if missing:
+        raise ConfigError(f"missing {where} settings: {', '.join(missing)}")
+    for key, value in obj.items():
+        kind = params[key].annotation
+        if not (type(value) is kind if isinstance(value, bool) or kind is bool
+                else isinstance(value, (int, float) if kind is float else kind)):
+            raise ConfigError(f"{where} setting {key!r} must be {KINDS[kind]}, got {value!r}")
+    try:
+        return cls(**obj)
+    except RuntimeError as exc:  # TrainerError, ModelError, LlmError: a value out of range
+        raise ConfigError(str(exc)) from None
 
 
 # ---------------------------------------------------------------------------

@@ -70,8 +70,9 @@ class LlmRunConfig:
     timeout: float = 60.0
 
     def __post_init__(self):
-        if self.temperature < 0:
-            raise LlmError(f"temperature must be >= 0, got {self.temperature}")
+        for name in ("temperature", "max_retries"):
+            if getattr(self, name) < 0:
+                raise LlmError(f"{name} must be >= 0, got {getattr(self, name)}")
 
 
 def render_query(text: str, aspect: str) -> str:

@@ -35,18 +35,7 @@ class EvalReport:
     error_median: float
     frac_below_1: float
     frac_above_2: float
-    heatmap: Optional[HeatmapGrid] = None  # set by score_files; not part of to_dict
-
-    def to_dict(self) -> dict:
-        return {
-            "rmse_va": self.rmse_va,
-            "rmse_v": self.rmse_v,
-            "rmse_a": self.rmse_a,
-            "n": self.n,
-            "error_median": self.error_median,
-            "frac_below_1": self.frac_below_1,
-            "frac_above_2": self.frac_above_2,
-        }
+    heatmap: Optional[HeatmapGrid] = None  # set by score_files
 
 
 @dataclass
@@ -55,9 +44,6 @@ class HeatmapGrid:
     a_edges: tuple
     # cells[i][j] covers v bin i, a bin j: {"rmse": float|None, "count": int}
     cells: list = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {"v_edges": list(self.v_edges), "a_edges": list(self.a_edges), "cells": self.cells}
 
 
 def _as_arrays(preds: Sequence[VAPair], golds: Sequence[VAPair]):

@@ -18,16 +18,17 @@ Two encoder adapters are provided:
 
 from __future__ import annotations
 
-import json
 import re
 import zlib
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import kernels
-from .data import AspectInstance, VAPair, read_json
+from .data import (AspectInstance, ConfigError, DataError, VAPair, from_mapping, read_json,
+                   write_json)
 
 CHECKPOINT_VERSION = 1
 PREDICT_BATCH = 64  # instances per eval-mode forward pass
@@ -78,6 +79,9 @@ class TinyEncoder:
     _N_SPECIAL = 3  # pad, cls, sep
 
     def __init__(self, dim: int = 32, vocab_size: int = 4096, max_len: int = 256, seed: int = 0):
+        if dim < 1 or vocab_size <= self._N_SPECIAL or seed < 0:
+            raise ModelError(f"tiny encoder needs dim >= 1, vocab_size > {self._N_SPECIAL} "
+                             f"and seed >= 0, got {dim}, {vocab_size} and {seed}")
         self.dim = dim
         self.vocab_size = vocab_size
         self.max_len = max_len
@@ -180,17 +184,12 @@ class HFEncoder:
 
 
 def make_encoder(spec: dict):
-    kind = spec.get("type", "tiny")
-    if kind == "tiny":
-        return TinyEncoder(
-            dim=int(spec.get("dim", 32)),
-            vocab_size=int(spec.get("vocab_size", 4096)),
-            max_len=int(spec.get("max_len", 256)),
-            seed=int(spec.get("seed", 0)),
-        )
-    if kind == "hf":
-        return HFEncoder(name=spec.get("name", "xlm-roberta-base"), max_len=int(spec.get("max_len", 256)))
-    raise ModelError(f"unknown encoder type {kind!r}")
+    """The encoder a spec names: its "type" (default "tiny") picks the class."""
+    settings = dict(spec)
+    kind = settings.pop("type", "tiny")
+    if kind not in ("tiny", "hf"):
+        raise ConfigError(f"unknown encoder type {kind!r}")
+    return from_mapping(TinyEncoder if kind == "tiny" else HFEncoder, settings, "encoder")
 
 
 class RegressionHead:
@@ -248,6 +247,8 @@ class DimASRModel:
 
     def __init__(self, encoder, seed: int = 42, input_dropout_rate: float = 0.1,
                  head_dropout_rate: float = 0.1, head_internal_dropout: bool = True):
+        if seed < 0:
+            raise ModelError(f"seed must be >= 0, got {seed}")
         self.encoder = encoder
         self.input_dropout_rate = input_dropout_rate
         self.seed = seed
@@ -329,18 +330,6 @@ class DimASRModel:
 
     # -- checkpointing --------------------------------------------------
 
-    def manifest(self) -> dict:
-        return {
-            "format_version": CHECKPOINT_VERSION,
-            "encoder": self.encoder.spec(),
-            "hidden_dim": self.encoder.hidden_dim,
-            "max_len": self.encoder.max_len,
-            "input_dropout_rate": self.input_dropout_rate,
-            "head_dropout_rate": self.head.dropout_rate,
-            "head_internal_dropout": self.head.internal_dropout,
-            "seed": self.seed,
-        }
-
     def load_state(self, arrays: dict) -> None:
         params = self.parameters()
         for name, value in params.items():
@@ -354,32 +343,48 @@ class DimASRModel:
             value[...] = arrays[name]
 
 
+@dataclass
+class CheckpointManifest:
+    """A checkpoint's manifest.json: what load_checkpoint rebuilds the model from."""
+
+    format_version: int
+    encoder: dict  # the encoder's spec(): its "type" and its settings
+    hidden_dim: int
+    max_len: int
+    input_dropout_rate: float
+    head_dropout_rate: float
+    head_internal_dropout: bool
+    seed: int
+
+
 def save_checkpoint(model: DimASRModel, path) -> None:
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
-    (path / "manifest.json").write_text(json.dumps(model.manifest(), indent=2), encoding="utf-8")
+    manifest = CheckpointManifest(
+        CHECKPOINT_VERSION, model.encoder.spec(), model.encoder.hidden_dim, model.encoder.max_len,
+        model.input_dropout_rate, model.head.dropout_rate, model.head.internal_dropout, model.seed)
+    write_json(path / "manifest.json", asdict(manifest))
     np.savez(path / "params.npz", **model.parameters())
 
 
 def load_checkpoint(path) -> DimASRModel:
+    """The model a checkpoint directory holds; a malformed manifest is a DataError naming it."""
     path = Path(path)
     manifest_path = path / "manifest.json"
     if not manifest_path.exists():
         raise ModelError(f"no checkpoint manifest at {manifest_path}")
     manifest = read_json(manifest_path)
-    if manifest.get("format_version") != CHECKPOINT_VERSION:
-        raise ModelError(
-            f"checkpoint format version {manifest.get('format_version')} "
-            f"!= supported {CHECKPOINT_VERSION}"
-        )
-    encoder = make_encoder(manifest["encoder"])
-    model = DimASRModel(
-        encoder,
-        seed=manifest.get("seed", 42),
-        input_dropout_rate=manifest["input_dropout_rate"],
-        head_dropout_rate=manifest["head_dropout_rate"],
-        head_internal_dropout=manifest["head_internal_dropout"],
-    )
+    if isinstance(manifest, dict) and manifest.get("format_version") != CHECKPOINT_VERSION:
+        raise ModelError(f"checkpoint format version {manifest.get('format_version')} "
+                         f"!= supported {CHECKPOINT_VERSION}")
+    try:
+        manifest = from_mapping(CheckpointManifest, manifest, "checkpoint")
+        model = DimASRModel(make_encoder(manifest.encoder), seed=manifest.seed,
+                            input_dropout_rate=manifest.input_dropout_rate,
+                            head_dropout_rate=manifest.head_dropout_rate,
+                            head_internal_dropout=manifest.head_internal_dropout)
+    except (ConfigError, ModelError) as exc:
+        raise DataError(f"{manifest_path}: {exc}") from None
     with np.load(path / "params.npz") as npz:
         model.load_state({k: npz[k] for k in npz.files})
     return model

@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import math
 import zlib
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from . import kernels
+from .data import from_mapping
 from .metrics import rmse_va
 from .model import DimASRModel, ModelError
 
@@ -47,18 +48,12 @@ class TrainConfig:
             raise TrainerError("patience must satisfy 0 < patience <= max_epochs")
         if self.grad_clip_norm <= 0:
             raise TrainerError("grad_clip_norm must be positive")
+        if self.seed < 0:
+            raise TrainerError(f"seed must be >= 0, got {self.seed}")
 
     @classmethod
-    def from_mapping(cls, mapping: dict) -> "TrainConfig":
-        """A config from a `train:` mapping; a key that is not a field is an
-        error, so a misspelt setting never falls back to its default."""
-        unknown = sorted(str(k) for k in set(mapping) - set(cls.__dataclass_fields__))
-        if unknown:
-            raise TrainerError(f"unknown train settings: {', '.join(unknown)}")
-        return cls(**mapping)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
+    def from_mapping(cls, mapping) -> "TrainConfig":
+        return from_mapping(cls, mapping, "train")
 
 
 @dataclass
@@ -76,9 +71,6 @@ class TrainHistory:
     records: list = field(default_factory=list)
     best_epoch: int = 0
     stopped_early: bool = False
-
-    def to_rows(self) -> list:
-        return [asdict(r) for r in self.records]
 
 
 class EarlyStopper:

@@ -347,3 +347,78 @@ class TestPathArguments:
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)  # not an uncaught exception
         assert "is a directory" in result.output or "is a file" in result.output
+
+
+class TestMalformedSettings:
+    """Every config section and the config's top level are closed and typed: a
+    bad key or value is a config error (exit 1) and a bad checkpoint manifest a
+    data error (exit 2), each one line naming the key, never a traceback."""
+
+    @pytest.mark.parametrize("command,probe,code,message", [
+        ("train", ("encoder", "dimension", 8), 1,
+         "config error: unknown encoder settings: dimension"),
+        ("train", ("encoder", "dim", 8.7), 1,
+         "config error: encoder setting 'dim' must be an integer, got 8.7"),
+        ("train", ("encoder", "dim", "x"), 1,
+         "config error: encoder setting 'dim' must be an integer, got 'x'"),
+        ("train", ("encoder", None, 5), 1, "encoder must be a mapping, got 5"),
+        ("train", ("train", "max_epochs", True), 1,
+         "config error: train setting 'max_epochs' must be an integer, got True"),
+        ("train", ("train", "batch_size", "16"), 1,
+         "config error: train setting 'batch_size' must be an integer, got '16'"),
+        ("train", ("train", "learning_rate", "2e-5"), 1,
+         "config error: train setting 'learning_rate' must be a number, got '2e-5'"),
+        ("train", ("train", None, 5), 1, "train must be a mapping, got 5"),
+        ("train", ("data", None, 3), 1, "data must be a mapping, got 3"),
+        ("train", ("data", "fit", "missing.jsonl"), 1,
+         "config error: config must name data.fit and data.val instance files"),
+        ("train", ("trian", None, {}), 1, "unknown top-level settings: trian"),
+        ("llm-baseline", "llm: {temprature: 0.9}", 1,
+         "config error: unknown llm settings: temprature"),
+        ("llm-baseline", "llm: 5", 1, "llm must be a mapping, got 5"),
+        ("llm-baseline", "llm: {temperature: warm}", 1,
+         "config error: llm setting 'temperature' must be a number, got 'warm'"),
+        ("llm-baseline", "llm: {max_retries: -1}", 1,
+         "config error: max_retries must be >= 0, got -1"),
+        ("llm-baseline", "n_exemplars: x", 1, "n_exemplars must be an integer, got 'x'"),
+        ("llm-baseline", "n_exemplars: -2", 1, "config error: n_exemplars must be >= 1, got -2"),
+        ("predict", "[]", 2, "checkpoint settings must be a mapping, got list"),
+        ("predict", '{"format_version": 1}', 2,
+         "missing checkpoint settings: encoder, hidden_dim"),
+    ], ids=["encoder-unknown", "encoder-float-dim", "encoder-string-dim", "encoder-not-mapping",
+            "train-bool-epochs", "train-string-batch", "train-string-lr", "train-not-mapping",
+            "data-not-mapping", "data-missing-file", "top-level-unknown", "llm-unknown",
+            "llm-not-mapping", "llm-string-temperature", "llm-negative-retries",
+            "n-exemplars-string", "n-exemplars-negative", "manifest-list", "manifest-missing-keys"])
+    def test_probe(self, runner, prepared, tmp_path, command, probe, code, message):
+        if command == "train":
+            cfg = tmp_path / "cfg.yaml"
+            write_train_config(cfg, prepared / "train.jsonl", prepared / "eval.jsonl")
+            settings = yaml.safe_load(cfg.read_text())
+            section, key, value = probe  # a key of None replaces the whole section
+            if key is None:
+                settings[section] = value
+            else:
+                settings[section][key] = value
+            cfg.write_text(yaml.safe_dump(settings))
+            args = ["train", "--config", str(cfg)]
+        elif command == "llm-baseline":
+            cfg = tmp_path / "llm.yaml"
+            cfg.write_text(probe + "\n")
+            args = ["llm-baseline", "--config", str(cfg),
+                    "--instances", str(FIXTURES / "llm_instances.jsonl"),
+                    "--replay", str(FIXTURES / "replay_transcript.jsonl"),
+                    "--exemplar-pool", str(prepared / "train.jsonl")]
+        else:
+            checkpoint = tmp_path / "ckpt"
+            save_checkpoint(DimASRModel(TinyEncoder(dim=8, seed=0), seed=1), checkpoint)
+            (checkpoint / "manifest.json").write_text(probe)
+            args = ["predict", "--checkpoint", str(checkpoint),
+                    "--instances", str(prepared / "eval.jsonl")]
+            message = f"data error: {checkpoint / 'manifest.json'}: {message}"
+        result = runner.invoke(main, args + ["--out", str(tmp_path / "out")])
+        assert result.exit_code == code, result.output
+        assert isinstance(result.exception, SystemExit)  # not an uncaught exception
+        assert "Traceback" not in result.output
+        assert result.output.count("\n") == 1 and message in result.output
+        assert not (tmp_path / "out").exists()

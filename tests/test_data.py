@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import json
 
 import pytest
@@ -5,9 +7,11 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from dimasr.data import (
     AspectInstance,
+    ConfigError,
     DataError,
     VAPair,
     format_va_string,
+    from_mapping,
     merge_and_hold_out,
     parse_dataset,
     parse_va_string,
@@ -17,7 +21,10 @@ from dimasr.data import (
     split_dev_protocol,
     write_instances,
 )
-from dimasr.llm import ReplayTransport
+from dimasr.llm import LlmRunConfig, ReplayTransport
+from dimasr.model import (CheckpointManifest, DimASRModel, ModelError, TinyEncoder,
+                          load_checkpoint, make_encoder, save_checkpoint)
+from dimasr.trainer import TrainConfig
 from .conftest import FIXTURES, make_instances
 
 
@@ -338,3 +345,91 @@ def test_readers_raise_only_data_error(tmp_path, reader, content):
             assert isinstance(inst.sentence_id, str) and type(inst.aspect_index) is int
             assert isinstance(inst.text, str) and isinstance(inst.aspect, str)
             assert inst.gold is None or isinstance(inst.gold, VAPair)
+
+
+# Values yaml.safe_load or json.loads can return. Integers stay small because a
+# large dim or vocab_size is a valid setting that allocates that much memory.
+_small_ints = st.integers(-3, 40)
+_setting_values = st.recursive(
+    st.none() | st.booleans() | _small_ints | st.floats() | st.text(max_size=6)
+    | st.sampled_from(["tiny", "2e-5"]),
+    lambda children: (st.lists(children, max_size=3)
+                      | st.dictionaries(st.text(max_size=4), children, max_size=3)),
+    max_leaves=6,
+)
+_typed_values = {bool: st.booleans(), int: _small_ints, float: st.floats() | _small_ints,
+                 str: st.text(max_size=6),
+                 dict: st.dictionaries(st.text(max_size=4), _setting_values, max_size=3)}
+
+
+def _sections(cls, **extra):
+    """Mappings a config file or manifest may hold for cls: some keys of cls's
+    settings (plus `extra`) with values of their types, or odd keys and values."""
+    params = inspect.signature(cls, eval_str=True).parameters
+    typed = {name: _typed_values[p.annotation] for name, p in params.items()}
+    odd_keys = st.sampled_from(sorted(params)) | st.text(max_size=4) | st.integers() | st.none()
+    return (st.fixed_dictionaries({}, optional={**typed, **extra})
+            | st.dictionaries(odd_keys, _setting_values, max_size=4))
+
+
+# the tiny encoder only: building an "hf" one would load a pretrained model
+ENCODER_SECTIONS = _sections(
+    TinyEncoder, type=st.just("tiny") | st.text(max_size=3).filter(lambda kind: kind != "hf"))
+GOOD_MANIFEST = {"format_version": 1,
+                 "encoder": {"type": "tiny", "dim": 8, "vocab_size": 64, "max_len": 256, "seed": 0},
+                 "hidden_dim": 8, "max_len": 256, "input_dropout_rate": 0.1,
+                 "head_dropout_rate": 0.1, "head_internal_dropout": True, "seed": 1}
+# whole values, or a good manifest with keys dropped and keys (the encoder too) replaced
+MANIFESTS = _setting_values | st.builds(
+    lambda drop, replace: {k: v for k, v in {**GOOD_MANIFEST, **replace}.items() if k not in drop},
+    st.sets(st.sampled_from(sorted(GOOD_MANIFEST)), max_size=2),
+    _sections(CheckpointManifest, format_version=st.just(1) | _small_ints,
+              encoder=ENCODER_SECTIONS),
+)
+
+SETTINGS = {
+    "train": (_sections(TrainConfig) | _setting_values, TrainConfig.from_mapping),
+    "llm": (_sections(LlmRunConfig) | _setting_values,
+            lambda obj: from_mapping(LlmRunConfig, obj, "llm")),
+    # the top level of a config or manifest has already checked this is a mapping
+    "encoder": (ENCODER_SECTIONS, make_encoder),
+}
+
+
+@pytest.mark.parametrize("section", sorted(SETTINGS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_settings_raise_only_config_error(section, data):
+    """Whatever a config section holds, reading it returns its object or raises
+    ConfigError; no other exception escapes to the command line."""
+    values, read = SETTINGS[section]
+    obj = data.draw(values)
+    try:
+        read(obj)
+    except ConfigError:
+        pass
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(manifest=MANIFESTS)
+def test_checkpoint_manifest_raises_only_data_error(tmp_path, manifest):
+    """Whatever a checkpoint's manifest.json holds, load_checkpoint returns a
+    model or raises DataError naming the file; a ModelError is kept for a
+    format version it does not read and for parameters that do not match."""
+    checkpoint = tmp_path / "ckpt"
+    if not checkpoint.exists():
+        save_checkpoint(DimASRModel(TinyEncoder(dim=8, vocab_size=64), seed=1), checkpoint)
+    (checkpoint / "manifest.json").write_text(json.dumps(manifest))
+    try:
+        load_checkpoint(checkpoint)
+    except DataError as exc:
+        assert str(exc).startswith(f"{checkpoint / 'manifest.json'}: ")
+    except ModelError as exc:
+        assert "format version" in str(exc) or "parameter" in str(exc)
+
+
+def test_good_manifest_is_what_save_checkpoint_writes(tmp_path):
+    save_checkpoint(DimASRModel(TinyEncoder(dim=8, vocab_size=64), seed=1), tmp_path)
+    assert json.loads((tmp_path / "manifest.json").read_text()) == GOOD_MANIFEST
+    assert list(GOOD_MANIFEST) == [f.name for f in dataclasses.fields(CheckpointManifest)]

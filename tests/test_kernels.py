@@ -148,8 +148,8 @@ def test_fit_matches_unblocked_adamw(monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(kernels, "adamw_update", adamw_oracle)
         ref_model, ref_history = _smoke_fit()
-    assert history.to_rows() == ref_history.to_rows()
-    assert any(r["clipped_frac"] > 0 for r in history.to_rows())
+    assert history.records == ref_history.records
+    assert any(r.clipped_frac > 0 for r in history.records)
     params, ref_params = model.parameters(), ref_model.parameters()
     assert params.keys() == ref_params.keys()
     for name in params:

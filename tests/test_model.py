@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from dimasr.data import AspectInstance, VAPair
+from dimasr.data import AspectInstance, ConfigError, VAPair
 from dimasr.model import (
     DimASRModel,
     ModelError,
@@ -232,7 +232,7 @@ class TestCheckpoint:
 
 
 def test_make_encoder_unknown_type():
-    with pytest.raises(ModelError, match="unknown encoder"):
+    with pytest.raises(ConfigError, match="unknown encoder type 'quantum'"):
         make_encoder({"type": "quantum"})
 
 

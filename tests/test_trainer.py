@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dimasr.data import ConfigError
 from dimasr.model import DimASRModel, TinyEncoder, save_checkpoint, load_checkpoint
 from dimasr.trainer import (
     AdamW,
@@ -88,7 +89,7 @@ class TestTrainConfig:
 
     def test_from_mapping_rejects_unknown(self):
         assert TrainConfig.from_mapping({"batch_size": 8}).batch_size == 8
-        with pytest.raises(TrainerError, match="unknown train settings: adam_beta1, learning_rat"):
+        with pytest.raises(ConfigError, match="unknown train settings: adam_beta1, learning_rat"):
             TrainConfig.from_mapping({"learning_rat": 0.5, "adam_beta1": 0.5})
 
 
