@@ -41,6 +41,11 @@ class ConfigError(ValueError):
     """A malformed config setting or command-line choice."""
 
 
+class MissingDependencyError(RuntimeError):
+    """An optional package that a setting needs is not installed: a failure of
+    the installation, not of the setting, so from_mapping passes it on."""
+
+
 @dataclass(frozen=True)
 class VAPair:
     """A (valence, arousal) point on the [1, 9] scale."""
@@ -172,6 +177,8 @@ def from_mapping(cls, obj, where: str):
             raise ConfigError(f"{where} setting {key!r} must be {KINDS[kind]}, got {value!r}")
     try:
         return cls(**obj)
+    except MissingDependencyError:
+        raise
     except RuntimeError as exc:  # TrainerError, ModelError, LlmError: a value out of range
         raise ConfigError(str(exc)) from None
 

@@ -27,8 +27,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import kernels
-from .data import (AspectInstance, ConfigError, DataError, VAPair, from_mapping, read_json,
-                   write_json)
+from .data import (AspectInstance, ConfigError, DataError, MissingDependencyError, VAPair,
+                   from_mapping, read_json, write_json)
 
 CHECKPOINT_VERSION = 1
 PREDICT_BATCH = 64  # instances per eval-mode forward pass
@@ -138,8 +138,8 @@ class HFEncoder:
         try:
             import torch
             from transformers import AutoModel, AutoTokenizer
-        except ImportError as exc:  # pragma: no cover
-            raise ModelError(
+        except ImportError as exc:
+            raise MissingDependencyError(
                 "the pretrained encoder requires the 'hf' extra "
                 "(pip install dimasr[hf])"
             ) from exc
@@ -276,27 +276,34 @@ class DimASRModel:
             keys = [inst.key for inst in batch]
             raise ModelError(f"encoder failed on batch {keys[:3]}...: {exc}") from exc
 
-    def predict_raw(self, instances: Sequence[AspectInstance]) -> np.ndarray:
+    def features(self, instances: Sequence[AspectInstance]):
+        """Yields the encoder outputs, one (rows, d) array per PREDICT_BATCH
+        instances in order: the chunks predict_raw runs the heads over."""
+        for start in range(0, len(instances), PREDICT_BATCH):
+            yield self._encode(instances[start : start + PREDICT_BATCH])[0]
+
+    def predict_raw(self, instances: Sequence[AspectInstance], features=None) -> np.ndarray:
         """Eval-mode raw head outputs, shape (n, 2), PREDICT_BATCH instances per
-        forward pass. Deterministic."""
+        forward pass. Deterministic. `features`, if given, is the list
+        features(instances) yields, computed once by the caller."""
         if not instances:
             raise ModelError("batch must be non-empty")
-        chunks = []
-        for start in range(0, len(instances), PREDICT_BATCH):
-            H, _ = self._encode(instances[start : start + PREDICT_BATCH])
-            chunks.append(self.head.forward(H)[0].T)
-        return np.concatenate(chunks)
+        chunks = self.features(instances) if features is None else features
+        return np.concatenate([self.head.forward(H)[0].T for H in chunks])
 
-    def predict_pairs(self, instances: Sequence[AspectInstance]) -> list:
-        return [VAPair(float(v), float(a)) for v, a in scale_to_va(self.predict_raw(instances))]
+    def predict_pairs(self, instances: Sequence[AspectInstance], features=None) -> list:
+        raw = self.predict_raw(instances, features)
+        return [VAPair(float(v), float(a)) for v, a in scale_to_va(raw)]
 
     def loss_and_grads(self, batch: Sequence[AspectInstance], rng: np.random.Generator,
-                       grads: dict) -> float:
+                       grads: dict, H: Optional[np.ndarray] = None) -> float:
         """Training-mode forward/backward. Returns the loss: the sum over valence
         and arousal of the mean squared error on the label scale.
 
         `grads` is a buffer shaped like parameters(); it is zeroed and filled in
-        place, so a training loop reuses one across steps.
+        place, so a training loop reuses one across steps. `H`, if given, is the
+        batch's encoder rows from a frozen encoder: the encoder then neither
+        runs forward nor backward.
         """
         golds = []
         for inst in batch:
@@ -306,7 +313,9 @@ class DimASRModel:
         gold = np.asarray(golds).T  # (2, n), like the head outputs
         n = len(batch)
 
-        H, enc_cache = self._encode(batch)
+        frozen = H is not None
+        if not frozen:
+            H, enc_cache = self._encode(batch)
         mask_in = None
         Hd = H
         if self.input_dropout_rate > 0.0:
@@ -324,8 +333,9 @@ class DimASRModel:
             g.fill(0.0)
         dz = (2.0 / n) * diff * 8.0 * s * (1.0 - s)
         dHd = self.head.backward(dz, head_cache, grads)
-        dH = dHd if mask_in is None else dHd * mask_in
-        self.encoder.backward(dH, enc_cache, grads)
+        if not frozen:
+            dH = dHd if mask_in is None else dHd * mask_in
+            self.encoder.backward(dH, enc_cache, grads)
         return loss
 
     # -- checkpointing --------------------------------------------------

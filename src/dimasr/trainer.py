@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -40,12 +40,20 @@ class TrainConfig:
     max_len: int = 256
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise TrainerError(f"{f.name} must be finite, got {value}")
         if self.batch_size <= 0 or self.learning_rate <= 0 or self.max_epochs <= 0:
             raise TrainerError("batch_size, learning_rate, and max_epochs must be positive")
         if not 0.0 <= self.warmup_ratio < 1.0:
             raise TrainerError(f"warmup_ratio must be in [0, 1), got {self.warmup_ratio}")
         if self.patience <= 0 or self.patience > self.max_epochs:
             raise TrainerError("patience must satisfy 0 < patience <= max_epochs")
+        if not 0.0 <= self.dropout < 1.0:
+            raise TrainerError(f"dropout must be in [0, 1), got {self.dropout}")
+        if self.weight_decay < 0:
+            raise TrainerError(f"weight_decay must be >= 0, got {self.weight_decay}")
         if self.grad_clip_norm <= 0:
             raise TrainerError("grad_clip_norm must be positive")
         if self.seed < 0:
@@ -132,8 +140,9 @@ class AdamW:
             )
 
 
-def evaluate_rmse(model: DimASRModel, instances) -> float:
-    return rmse_va(model.predict_pairs(instances), [inst.gold for inst in instances])
+def evaluate_rmse(model: DimASRModel, instances, features=None) -> float:
+    """Joint VA RMSE of the model's predictions; `features` as for predict_raw."""
+    return rmse_va(model.predict_pairs(instances, features), [inst.gold for inst in instances])
 
 
 def fit(
@@ -144,6 +153,11 @@ def fit(
     epoch_callback: Optional[Callable] = None,
 ):
     """Train `model` in place; returns (model, TrainHistory).
+
+    An encoder with no trainable parameters gives the same outputs every
+    epoch, so it encodes the fit and val sets once, before the first epoch,
+    in the PREDICT_BATCH chunks predict_raw uses; steps take their rows from
+    the fit features and validation runs the heads over the val features.
 
     `epoch_callback(epoch, model, record)` runs after each epoch's validation,
     before any early-stop decision (used for checkpoint streaming and tests).
@@ -166,15 +180,24 @@ def fit(
     history = TrainHistory()
     best_state = None
     step = 0
+    fit_features = val_features = None
+    if not model.encoder.parameters():
+        try:
+            fit_features = np.concatenate(list(model.features(fit_set)))
+            val_features = list(model.features(val_set))
+        except ModelError as exc:
+            raise TrainerError(str(exc)) from exc
 
     for epoch in range(1, config.max_epochs + 1):
         order = _substream(config.seed, "shuffle", epoch).permutation(len(fit_set))
         epoch_loss = 0.0
         norms = []
         for start in range(0, len(fit_set), config.batch_size):
-            batch = [fit_set[i] for i in order[start : start + config.batch_size]]
+            picked = order[start : start + config.batch_size]
+            batch = [fit_set[i] for i in picked]
+            H = None if fit_features is None else fit_features[picked]
             try:
-                loss = model.loss_and_grads(batch, dropout_rng, grads)
+                loss = model.loss_and_grads(batch, dropout_rng, grads, H)
             except ModelError as exc:
                 raise TrainerError(str(exc)) from exc
             if not np.isfinite(loss):
@@ -190,7 +213,7 @@ def fit(
         record = EpochRecord(
             epoch=epoch,
             train_loss=epoch_loss / len(fit_set),
-            val_rmse_va=evaluate_rmse(model, val_set),
+            val_rmse_va=evaluate_rmse(model, val_set, val_features),
             grad_norm_mean=float(np.mean(norms)),
             grad_norm_max=max(norms),
             clipped_frac=sum(n > config.grad_clip_norm for n in norms) / len(norms),
@@ -201,7 +224,13 @@ def fit(
 
         stop = stopper.update(record.val_rmse_va)
         if stopper.best_index == epoch:
-            best_state = {k: v.copy() for k, v in model.parameters().items()}
+            # one snapshot, refreshed in place: no second copy of the
+            # parameters is alive while the new best is taken
+            if best_state is None:
+                best_state = {k: v.copy() for k, v in params.items()}
+            else:
+                for k, v in params.items():
+                    np.copyto(best_state[k], v)
         if stop:
             history.stopped_early = True
             break

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -349,10 +350,14 @@ class TestPathArguments:
         assert "is a directory" in result.output or "is a file" in result.output
 
 
+HF_MISSING = "error: the pretrained encoder requires the 'hf' extra (pip install dimasr[hf])"
+
+
 class TestMalformedSettings:
     """Every config section and the config's top level are closed and typed: a
     bad key or value is a config error (exit 1) and a bad checkpoint manifest a
-    data error (exit 2), each one line naming the key, never a traceback."""
+    data error (exit 2), each one line naming the key, never a traceback. A
+    missing optional package is a runtime failure (exit 3)."""
 
     @pytest.mark.parametrize("command,probe,code,message", [
         ("train", ("encoder", "dimension", 8), 1,
@@ -362,6 +367,7 @@ class TestMalformedSettings:
         ("train", ("encoder", "dim", "x"), 1,
          "config error: encoder setting 'dim' must be an integer, got 'x'"),
         ("train", ("encoder", None, 5), 1, "encoder must be a mapping, got 5"),
+        ("train", ("encoder", None, {"type": "hf"}), 3, HF_MISSING),
         ("train", ("train", "max_epochs", True), 1,
          "config error: train setting 'max_epochs' must be an integer, got True"),
         ("train", ("train", "batch_size", "16"), 1,
@@ -369,6 +375,16 @@ class TestMalformedSettings:
         ("train", ("train", "learning_rate", "2e-5"), 1,
          "config error: train setting 'learning_rate' must be a number, got '2e-5'"),
         ("train", ("train", None, 5), 1, "train must be a mapping, got 5"),
+        ("train", ("train", "dropout", 1.5), 1, "config error: dropout must be in [0, 1), got 1.5"),
+        ("train", ("train", "dropout", -0.5), 1,
+         "config error: dropout must be in [0, 1), got -0.5"),
+        ("train", ("train", "dropout", 1.0), 1, "config error: dropout must be in [0, 1), got 1.0"),
+        ("train", ("train", "weight_decay", -1.0), 1,
+         "config error: weight_decay must be >= 0, got -1.0"),
+        ("train", ("train", "grad_clip_norm", float("inf")), 1,
+         "config error: grad_clip_norm must be finite, got inf"),
+        ("train", ("train", "learning_rate", float("nan")), 1,
+         "config error: learning_rate must be finite, got nan"),
         ("train", ("data", None, 3), 1, "data must be a mapping, got 3"),
         ("train", ("data", "fit", "missing.jsonl"), 1,
          "config error: config must name data.fit and data.val instance files"),
@@ -385,12 +401,22 @@ class TestMalformedSettings:
         ("predict", "[]", 2, "checkpoint settings must be a mapping, got list"),
         ("predict", '{"format_version": 1}', 2,
          "missing checkpoint settings: encoder, hidden_dim"),
+        ("predict", json.dumps({
+            "format_version": 1, "encoder": {"type": "hf"}, "hidden_dim": 768, "max_len": 256,
+            "input_dropout_rate": 0.1, "head_dropout_rate": 0.1, "head_internal_dropout": True,
+            "seed": 1}), 3, HF_MISSING),
     ], ids=["encoder-unknown", "encoder-float-dim", "encoder-string-dim", "encoder-not-mapping",
+            "encoder-hf-without-extra",
             "train-bool-epochs", "train-string-batch", "train-string-lr", "train-not-mapping",
+            "train-dropout-above-one", "train-dropout-negative", "train-dropout-one",
+            "train-negative-weight-decay", "train-infinite-clip", "train-nan-lr",
             "data-not-mapping", "data-missing-file", "top-level-unknown", "llm-unknown",
             "llm-not-mapping", "llm-string-temperature", "llm-negative-retries",
-            "n-exemplars-string", "n-exemplars-negative", "manifest-list", "manifest-missing-keys"])
-    def test_probe(self, runner, prepared, tmp_path, command, probe, code, message):
+            "n-exemplars-string", "n-exemplars-negative", "manifest-list", "manifest-missing-keys",
+            "manifest-hf-without-extra"])
+    def test_probe(self, runner, prepared, tmp_path, monkeypatch, command, probe, code, message):
+        # `import torch` raises ImportError, so an `hf` encoder lacks its optional packages
+        monkeypatch.setitem(sys.modules, "torch", None)
         if command == "train":
             cfg = tmp_path / "cfg.yaml"
             write_train_config(cfg, prepared / "train.jsonl", prepared / "eval.jsonl")
@@ -415,7 +441,8 @@ class TestMalformedSettings:
             (checkpoint / "manifest.json").write_text(probe)
             args = ["predict", "--checkpoint", str(checkpoint),
                     "--instances", str(prepared / "eval.jsonl")]
-            message = f"data error: {checkpoint / 'manifest.json'}: {message}"
+            if code == 2:
+                message = f"data error: {checkpoint / 'manifest.json'}: {message}"
         result = runner.invoke(main, args + ["--out", str(tmp_path / "out")])
         assert result.exit_code == code, result.output
         assert isinstance(result.exception, SystemExit)  # not an uncaught exception

@@ -1,8 +1,10 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from dimasr.data import ConfigError
-from dimasr.model import DimASRModel, TinyEncoder, save_checkpoint, load_checkpoint
+from dimasr.model import DimASRModel, TinyEncoder, build_input, save_checkpoint, load_checkpoint
 from dimasr.trainer import (
     AdamW,
     EarlyStopper,
@@ -12,7 +14,7 @@ from dimasr.trainer import (
     fit,
     lr_at,
 )
-from .conftest import zero_grads
+from .conftest import make_instances, zero_grads
 
 
 def smoke_config(**overrides):
@@ -161,6 +163,74 @@ class TestFit:
         assert history.stopped_early
         assert len(history.records) == 4
         assert history.best_epoch == 1
+
+
+class FrozenStandIn(TinyEncoder):
+    """A frozen backbone's contract, as HFEncoder has it: no trainable
+    parameters and a backward pass that does nothing."""
+
+    def parameters(self) -> dict:
+        return {}
+
+    def backward(self, dH, cache, grads) -> None:
+        pass
+
+
+class CountingFrozen(FrozenStandIn):
+    """Records every token sequence its forward pass sees."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.seen = []
+
+    def encode_batch(self, token_seqs):
+        self.seen.extend(tuple(seq) for seq in token_seqs)
+        return super().encode_batch(token_seqs)
+
+
+class OneUnusedParameter(FrozenStandIn):
+    """Reports one parameter that nothing uses, so fit encodes every batch."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.unused = np.zeros(1)
+
+    def parameters(self) -> dict:
+        return {"encoder.unused": self.unused}
+
+
+class TestFrozenEncoder:
+    # 21 fit instances: batches of 16 and 5; 70 val instances: chunks of 64 and 6
+    @pytest.fixture
+    def split(self):
+        instances = make_instances(91, seed=1)
+        return instances[:21], instances[21:]
+
+    def test_one_forward_per_instance_per_fit(self, split):
+        fit_set, val_set = split
+        encoder = CountingFrozen(dim=16, seed=0)
+        fit(DimASRModel(encoder, seed=42), fit_set, val_set, smoke_config(max_epochs=3, patience=3))
+        want = Counter(tuple(build_input(inst.text, inst.aspect, encoder))
+                       for inst in fit_set + val_set)
+        assert max(want.values()) == 1
+        assert Counter(encoder.seen) == want
+
+    def test_cached_features_match_per_batch_encoding(self, split):
+        # 768 wide, where matmul rows agree across batch sizes above one row
+        fit_set, val_set = split
+        cfg = TrainConfig(learning_rate=1e-3, max_epochs=4, patience=4)  # dropout 0.1
+        runs = []
+        for encoder_class in (FrozenStandIn, OneUnusedParameter):
+            model = DimASRModel(encoder_class(dim=768, vocab_size=512, seed=0), seed=cfg.seed,
+                                input_dropout_rate=cfg.dropout, head_dropout_rate=cfg.dropout)
+            model, history = fit(model, fit_set, val_set, cfg)
+            best = history.records[history.best_epoch - 1].val_rmse_va
+            assert evaluate_rmse(model, val_set) == best
+            runs.append((history, model.head.parameters()))
+        (cached, cached_params), (per_batch, per_batch_params) = runs
+        assert cached == per_batch
+        for name, value in cached_params.items():
+            np.testing.assert_array_equal(value, per_batch_params[name])
 
 
 class TestClipIntegration:
