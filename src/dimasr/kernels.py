@@ -12,6 +12,11 @@ import numpy as np
 # the two scratch arrays (1.5 MiB) stays in cache across the update's dozen
 # elementwise passes instead of streaming every full array from memory per pass
 ADAMW_BLOCK = 32768
+# share of a table's rows past which adamw_update stops gathering the live rows
+# and runs the full formula on every row: at d=32 over 4096 rows the row-aware
+# step took 0.52 ms against 1.32 ms dense with 200 live rows, 1.35 ms against
+# 1.09 ms with 2000
+ADAMW_DENSE_SHARE = 0.25
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -38,11 +43,12 @@ def head_forward(H, W1, b1, w2, b2, mask=None):
     return A1, Z2
 
 
-def head_backward(dZ2, H, A1, W1, w2, mask=None):
+def head_backward(dZ2, H, A1, W1, w2, mask=None, input_grad=True):
     """Gradients of a head stack given dL/dZ2 (k, n) and the forward pass's
     dropout mask: (dW1, db1, dw2, db2) stacked like the parameters, and dH
-    (n, d) summed over the heads in order. Each sum runs over one head's slice
-    in the order it would for that head alone.
+    (n, d) summed over the heads in order, or None when `input_grad` is false
+    (nothing upstream reads it). Each sum runs over one head's slice in the
+    order it would for that head alone.
     """
     dw2 = np.matmul((A1 if mask is None else A1 * mask).transpose(0, 2, 1), dZ2[..., None])[..., 0]
     db2 = dZ2.sum(axis=1, keepdims=True)
@@ -52,33 +58,56 @@ def head_backward(dZ2, H, A1, W1, w2, mask=None):
     dZ1 = dA1 * (1.0 - A1 * A1)
     dW1 = np.matmul(dZ1.transpose(0, 2, 1), H)
     db1 = dZ1.sum(axis=1)
-    dH = np.matmul(dZ1, W1).sum(axis=0)
+    dH = np.matmul(dZ1, W1).sum(axis=0) if input_grad else None
     return dW1, db1, dw2, db2, dH
 
 
-def adamw_update(p, g, m, v, lr, beta1, beta2, eps, weight_decay, t):
+def adamw_update(p, g, m, v, lr, beta1, beta2, eps, weight_decay, t, live=None):
     """In-place decoupled-weight-decay Adam step on C-contiguous float64 arrays.
 
-    Walks the arrays in blocks of ADAMW_BLOCK elements and applies, per block,
-    the operations of
+    Applies, elementwise, the operations of
 
         m = beta1*m + (1-beta1)*g;  v = beta2*v + ((1-beta2)*g)*g
         p -= lr * ((m/c1) / (sqrt(v/c2) + eps) + weight_decay*p)
 
     in that order and with the same roundings, so the result is bit-identical
     to the whole-array formula.
+
+    `live`, if given, is the sorted row ids (first axis) outside which g, m
+    and v are exactly 0. On such a row m and v stay 0 and the formula reduces
+    to p -= lr * (p*weight_decay), since 0/(sqrt(0)+eps) is 0 and 0 + x is x;
+    only the sign of a zero can differ from the full formula. So the full
+    formula runs on copies of the live rows only and a decay-only pass covers
+    the table. Past ADAMW_DENSE_SHARE of the rows the gathers cost more than
+    they save, and the full formula runs on every row.
     """
     for x in (p, m, v):
         if not x.flags.c_contiguous:
             raise ValueError("adamw_update needs C-contiguous p, m and v")
+    hyper = (lr, beta1, beta2, eps, weight_decay, t)
+    if live is None or len(live) > ADAMW_DENSE_SHARE * len(p):
+        _adamw_blocked(p, g, m, v, *hyper)
+        return
+    pl, ml, vl = p[live], m[live], v[live]
+    _adamw_blocked(pl, g[live], ml, vl, *hyper)
+    if weight_decay != 0.0:  # with no decay the full formula leaves p as it is
+        _decay_blocked(p, lr, weight_decay)
+    p[live], m[live], v[live] = pl, ml, vl
+
+
+def _blocks(n):
+    for start in range(0, n, ADAMW_BLOCK):
+        yield start, min(start + ADAMW_BLOCK, n)
+
+
+def _adamw_blocked(p, g, m, v, lr, beta1, beta2, eps, weight_decay, t):
+    """adamw_update's full formula, ADAMW_BLOCK elements at a time."""
     c1 = 1.0 - beta1**t
     c2 = 1.0 - beta2**t
     pf, gf, mf, vf = p.reshape(-1), g.reshape(-1), m.reshape(-1), v.reshape(-1)
-    n = pf.size
-    scratch_a = np.empty(min(n, ADAMW_BLOCK))
-    scratch_b = np.empty(min(n, ADAMW_BLOCK))
-    for start in range(0, n, ADAMW_BLOCK):
-        end = min(start + ADAMW_BLOCK, n)
+    scratch_a = np.empty(min(pf.size, ADAMW_BLOCK))
+    scratch_b = np.empty(min(pf.size, ADAMW_BLOCK))
+    for start, end in _blocks(pf.size):
         pb, gb, mb, vb = pf[start:end], gf[start:end], mf[start:end], vf[start:end]
         a, b = scratch_a[: end - start], scratch_b[: end - start]
         mb *= beta1
@@ -99,6 +128,17 @@ def adamw_update(p, g, m, v, lr, beta1, beta2, eps, weight_decay, t):
         pb -= a
 
 
+def _decay_blocked(p, lr, weight_decay):
+    """The full formula on rows where g = m = v = 0: p -= lr * (p*weight_decay)."""
+    pf = p.reshape(-1)
+    scratch = np.empty(min(pf.size, ADAMW_BLOCK))
+    for start, end in _blocks(pf.size):
+        pb, a = pf[start:end], scratch[: end - start]
+        np.multiply(pb, weight_decay, out=a)
+        a *= lr
+        pb -= a
+
+
 def global_grad_norm(grads) -> float:
     """L2 norm over a collection of gradient arrays."""
     total = 0.0
@@ -108,14 +148,19 @@ def global_grad_norm(grads) -> float:
     return float(np.sqrt(total))
 
 
-def clip_gradients(grads, max_norm: float) -> float:
+def clip_gradients(grads, max_norm: float, rows=None) -> float:
     """Scale gradient arrays in place so the global norm is <= max_norm.
 
-    Returns the pre-clip norm.
+    `rows`, if given, holds per gradient array either None or the row ids
+    outside which that array is exactly 0; only those rows are scaled, as
+    0*scale is 0. Returns the pre-clip norm.
     """
     norm = global_grad_norm(grads)
     if norm > max_norm and norm > 0.0:
         scale = max_norm / norm
-        for g in grads:
-            g *= scale
+        for g, r in zip(grads, rows or [None] * len(grads)):
+            if r is None:
+                g *= scale
+            else:
+                g[r] *= scale
     return norm

@@ -111,7 +111,10 @@ class TinyEncoder:
         H = np.tanh(P @ self.W.T + self.b)
         return H, (token_seqs, P, H)
 
-    def backward(self, dH: np.ndarray, cache, grads: dict) -> None:
+    def backward(self, dH: np.ndarray, cache, grads: dict) -> dict:
+        """Accumulate the encoder's gradients; returns {"encoder.emb": the
+        sorted row ids it scattered into}, the only rows of that gradient this
+        call writes."""
         token_seqs, P, H = cache
         dU = dH * (1.0 - H * H)
         grads["encoder.W"] += dU.T @ P
@@ -120,6 +123,7 @@ class TinyEncoder:
         demb = grads["encoder.emb"]
         for i, ids in enumerate(token_seqs):
             np.add.at(demb, ids, dP[i] / len(ids))
+        return {"encoder.emb": np.unique(np.concatenate(token_seqs))}
 
     def spec(self) -> dict:
         return {
@@ -177,7 +181,7 @@ class HFEncoder:
         return H, None
 
     def backward(self, dH, cache, grads) -> None:
-        pass  # frozen backbone
+        pass  # frozen backbone: no gradient, so no rows to report
 
     def spec(self) -> dict:
         return {"type": "hf", "name": self.name, "max_len": self.max_len}
@@ -233,10 +237,12 @@ class RegressionHead:
         A1, Z2 = kernels.head_forward(H, self.W1, self.b1, self.w2, self.b2, mask)
         return Z2, (H, A1, mask)
 
-    def backward(self, dZ2: np.ndarray, cache, grads: dict) -> np.ndarray:
-        """Accumulate parameter gradients; returns dL/dH summed over both heads."""
+    def backward(self, dZ2: np.ndarray, cache, grads: dict, input_grad: bool = True):
+        """Accumulate parameter gradients; returns dL/dH summed over both heads,
+        or None when `input_grad` is false."""
         H, A1, mask = cache
-        dW1, db1, dw2, db2, dH = kernels.head_backward(dZ2, H, A1, self.W1, self.w2, mask)
+        dW1, db1, dw2, db2, dH = kernels.head_backward(dZ2, H, A1, self.W1, self.w2, mask,
+                                                       input_grad)
         for name, g in self._per_head(dW1, db1, dw2, db2).items():
             grads[name] += g
         return dH
@@ -296,7 +302,8 @@ class DimASRModel:
         return [VAPair(float(v), float(a)) for v, a in scale_to_va(raw)]
 
     def loss_and_grads(self, batch: Sequence[AspectInstance], rng: np.random.Generator,
-                       grads: dict, H: Optional[np.ndarray] = None) -> float:
+                       grads: dict, H: Optional[np.ndarray] = None,
+                       rows: Optional[dict] = None) -> float:
         """Training-mode forward/backward. Returns the loss: the sum over valence
         and arousal of the mean squared error on the label scale.
 
@@ -304,6 +311,11 @@ class DimASRModel:
         place, so a training loop reuses one across steps. `H`, if given, is the
         batch's encoder rows from a frozen encoder: the encoder then neither
         runs forward nor backward.
+
+        `rows`, if given, maps a parameter name to the row ids outside which its
+        gradient in `grads` is exactly 0. On entry it holds the rows the previous
+        call wrote, the only ones zeroed; parameters it does not name are zeroed
+        whole. On return it holds the rows the encoder's backward reports.
         """
         golds = []
         for inst in batch:
@@ -329,13 +341,18 @@ class DimASRModel:
         # one mean per head row, then their sum: each row sums as a 1-D array would
         loss = float(np.mean(diff**2, axis=1).sum())
 
-        for g in grads.values():
-            g.fill(0.0)
+        for name, g in grads.items():
+            if rows is not None and name in rows:
+                g[rows[name]] = 0.0
+            else:
+                g.fill(0.0)
         dz = (2.0 / n) * diff * 8.0 * s * (1.0 - s)
-        dHd = self.head.backward(dz, head_cache, grads)
+        dHd = self.head.backward(dz, head_cache, grads, input_grad=not frozen)
         if not frozen:
             dH = dHd if mask_in is None else dHd * mask_in
-            self.encoder.backward(dH, enc_cache, grads)
+            written = self.encoder.backward(dH, enc_cache, grads)
+            if rows is not None and written:
+                rows.update(written)
         return loss
 
     # -- checkpointing --------------------------------------------------

@@ -125,18 +125,30 @@ class AdamW:
     def __init__(self, params: dict, config: TrainConfig):
         self.params = params
         self.config = config
-        self.m = {k: np.zeros_like(v) for k, v in params.items()}
-        self.v = {k: np.zeros_like(v) for k, v in params.items()}
+        # np.zeros, not zeros_like: the pages of embedding rows no step
+        # touches are then never written, so never made resident
+        self.m = {k: np.zeros(v.shape) for k, v in params.items()}
+        self.v = {k: np.zeros(v.shape) for k, v in params.items()}
+        self.live = {}  # name -> mask of the rows any step has reported
         self.t = 0
 
-    def step(self, grads: dict, lr: float) -> None:
+    def step(self, grads: dict, lr: float, rows: Optional[dict] = None) -> None:
+        """One AdamW step. `rows`, as loss_and_grads fills it, names the rows
+        each row-sparse gradient was written on this step; every other row of
+        it is 0. Rows no step has reported keep m = v = 0, so adamw_update
+        runs its full formula only on the rows reported so far."""
         self.t += 1
+        rows = rows or {}
+        for name, r in rows.items():
+            live = self.live.setdefault(name, np.zeros(len(self.params[name]), dtype=bool))
+            live[r] = True
         for name, p in self.params.items():
             # decoupled weight decay on weight matrices/embeddings, not biases
             wd = self.config.weight_decay if p.ndim >= 2 else 0.0
             kernels.adamw_update(
                 p, grads[name], self.m[name], self.v[name],
                 lr, 0.9, 0.999, 1e-8, wd, self.t,  # beta1, beta2, eps
+                live=np.flatnonzero(self.live[name]) if name in rows else None,
             )
 
 
@@ -175,6 +187,7 @@ def fit(
     params = model.parameters()
     optimizer = AdamW(params, config)
     grads = {k: np.zeros_like(v) for k, v in params.items()}
+    rows = {}  # the rows of each row-sparse gradient the last step wrote
     dropout_rng = _substream(config.seed, "dropout")
     stopper = EarlyStopper(config.patience)
     history = TrainHistory()
@@ -197,7 +210,7 @@ def fit(
             batch = [fit_set[i] for i in picked]
             H = None if fit_features is None else fit_features[picked]
             try:
-                loss = model.loss_and_grads(batch, dropout_rng, grads, H)
+                loss = model.loss_and_grads(batch, dropout_rng, grads, H, rows)
             except ModelError as exc:
                 raise TrainerError(str(exc)) from exc
             if not np.isfinite(loss):
@@ -205,9 +218,10 @@ def fit(
                     f"non-finite loss {loss} at epoch {epoch}, step {step} "
                     f"(batch keys {[b.key for b in batch[:3]]}...)"
                 )
-            norms.append(kernels.clip_gradients(list(grads.values()), config.grad_clip_norm))
+            norms.append(kernels.clip_gradients(list(grads.values()), config.grad_clip_norm,
+                                                [rows.get(k) for k in grads]))
             step += 1
-            optimizer.step(grads, lr_at(step, total_steps, config))
+            optimizer.step(grads, lr_at(step, total_steps, config), rows)
             epoch_loss += loss * len(batch)
 
         record = EpochRecord(

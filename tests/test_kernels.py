@@ -1,5 +1,6 @@
 """Kernels against plain references: explicit loops for the head passes and
-the whole-array AdamW formula the blocked update must reproduce bit for bit."""
+the whole-array AdamW formula the blocked and row-aware updates must
+reproduce bit for bit, alone and through whole fits."""
 
 import math
 from pathlib import Path
@@ -7,11 +8,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dimasr import kernels
+from dimasr import kernels, trainer
 from dimasr.data import parse_dataset, split_dev_protocol
 from dimasr.kernels import clip_gradients, global_grad_norm
-from dimasr.model import DimASRModel, TinyEncoder
+from dimasr.model import DimASRModel, TinyEncoder, build_input
 from dimasr.trainer import TrainConfig, fit
+
+from .conftest import make_instances
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -27,6 +30,21 @@ def adamw_oracle(p, g, m, v, lr, beta1, beta2, eps, weight_decay, t):
     mhat = m / (1.0 - beta1**t)
     vhat = v / (1.0 - beta2**t)
     p -= lr * (mhat / (np.sqrt(vhat) + eps) + weight_decay * p)
+
+
+def dense_adamw(*args, live=None):
+    """adamw_update's signature over the whole-array oracle, for fits whose
+    encoder reports no rows."""
+    assert live is None
+    adamw_oracle(*args)
+
+
+class DenseTinyEncoder(TinyEncoder):
+    """TinyEncoder reporting no rows: its gradient buffer is zeroed, clipped
+    and AdamW-updated whole, the dense path end to end."""
+
+    def backward(self, dH, cache, grads):
+        super().backward(dH, cache, grads)
 
 
 def test_sigmoid_matches_reference():
@@ -84,7 +102,8 @@ def test_head_forward_backward_match_reference():
 @pytest.mark.parametrize("n,d", [(5, 256), (64, 32), (16, 768)])
 def test_stacked_heads_equal_single_head_calls(n, d):
     """Each head of the stack gets exactly the result a one-head (k=1) call on
-    its own slice gets, and dH is the heads' dH summed in order."""
+    its own slice gets, and dH is the heads' dH summed in order; without the
+    input gradient the parameter gradients are unchanged and dH is None."""
     hidden = d // 2
     H = rng.normal(size=(n, d))
     W1 = rng.normal(0.0, 0.02, size=(2, hidden, d))
@@ -106,6 +125,10 @@ def test_stacked_heads_equal_single_head_calls(n, d):
                 assert np.array_equal(got[h], want[0])
             dH = single[4] if dH is None else dH + single[4]
         assert np.array_equal(stacked[4], dH)
+        no_dH = kernels.head_backward(dZ2, H, A1, W1, w2, mask, input_grad=False)
+        assert no_dH[4] is None
+        for got, want in zip(no_dH[:4], stacked[:4]):
+            assert np.array_equal(got, want)
 
 
 def test_adamw_matches_reference():
@@ -125,6 +148,35 @@ def test_adamw_matches_reference():
                     assert np.array_equal(got, want), (shape, weight_decay, t)
 
 
+@pytest.mark.parametrize("shape", [(300, 257), (kernels.ADAMW_BLOCK + 1,)])
+@pytest.mark.parametrize("touched_percent", [0, 8, 100])  # none, random, all
+def test_adamw_live_rows_match_dense_oracle(shape, touched_percent):
+    """Gradients nonzero only on each step's touched rows; `live` is every row
+    touched so far. Rows straddle ADAMW_BLOCK boundaries, and the random live
+    set passes ADAMW_DENSE_SHARE of the rows within the five steps, so both
+    forms run in one sequence."""
+    rows = shape[0]
+    for weight_decay in (0.0, 0.01):
+        p = rng.normal(size=shape)
+        new = (p.copy(), np.zeros(shape), np.zeros(shape))
+        old = (p.copy(), np.zeros(shape), np.zeros(shape))
+        live = np.zeros(rows, dtype=bool)
+        for t in range(1, 6):
+            touched = rng.choice(rows, size=rows * touched_percent // 100, replace=False)
+            g = np.zeros(shape)
+            g[touched] = rng.normal(size=(len(touched),) + shape[1:])
+            live[touched] = True
+            hyper = (1e-3, 0.9, 0.999, 1e-8, weight_decay, t)
+            kernels.adamw_update(new[0], g, new[1], new[2], *hyper, live=np.flatnonzero(live))
+            adamw_oracle(old[0], g, old[1], old[2], *hyper)
+            for got, want in zip(new, old):  # p, m, v
+                assert np.array_equal(got, want), (shape, touched_percent, weight_decay, t)
+            if touched_percent == 8 and t == 1:
+                assert live.sum() <= rows * kernels.ADAMW_DENSE_SHARE
+        if touched_percent == 8:
+            assert live.sum() > rows * kernels.ADAMW_DENSE_SHARE
+
+
 def test_adamw_rejects_non_contiguous():
     p = np.zeros((4, 4))[:, ::2]
     with pytest.raises(ValueError, match="contiguous"):
@@ -132,28 +184,104 @@ def test_adamw_rejects_non_contiguous():
                              1e-3, 0.9, 0.999, 1e-8, 0.0, 1)
 
 
-def _smoke_fit():
-    """configs/smoke.yaml's encoder and training settings on the tiny fixture."""
-    instances = parse_dataset(FIXTURES / "tiny_dataset.jsonl")
-    split = split_dev_protocol(instances, ratio=0.8, seed=42)
-    model = DimASRModel(TinyEncoder(dim=32, vocab_size=4096, seed=0), seed=42,
-                        input_dropout_rate=0.0, head_dropout_rate=0.0)
-    config = TrainConfig(batch_size=16, learning_rate=0.01, dropout=0.0,
-                         max_epochs=5, patience=5, seed=42)
-    return fit(model, list(split.train), list(split.eval), config)
+def _fit_row_aware_and_dense(monkeypatch, make_model, fit_set, val_set, config):
+    """The same fit twice: row-aware, then dense end to end (DenseTinyEncoder,
+    whole-array AdamW oracle). Asserts history and every parameter are equal;
+    returns the row-aware fit's history and the (live, rows) of each of its
+    row-aware adamw_update calls."""
+    live_sizes = []
+    blocked = kernels.adamw_update
 
+    def spy(p, *args, live=None):
+        if live is not None:
+            live_sizes.append((len(live), len(p)))
+        blocked(p, *args, live=live)
 
-def test_fit_matches_unblocked_adamw(monkeypatch):
-    model, history = _smoke_fit()
     with monkeypatch.context() as patch:
-        patch.setattr(kernels, "adamw_update", adamw_oracle)
-        ref_model, ref_history = _smoke_fit()
+        patch.setattr(kernels, "adamw_update", spy)
+        model, history = fit(make_model(TinyEncoder), fit_set, val_set, config)
+    with monkeypatch.context() as patch:
+        patch.setattr(kernels, "adamw_update", dense_adamw)
+        ref_model, ref_history = fit(make_model(DenseTinyEncoder), fit_set, val_set, config)
     assert history.records == ref_history.records
-    assert any(r.clipped_frac > 0 for r in history.records)
+    assert history.best_epoch == ref_history.best_epoch
     params, ref_params = model.parameters(), ref_model.parameters()
     assert params.keys() == ref_params.keys()
     for name in params:
         assert np.array_equal(params[name], ref_params[name]), name
+    return history, live_sizes
+
+
+def test_fit_matches_unblocked_adamw(monkeypatch):
+    """configs/smoke.yaml's encoder and training settings on the tiny fixture."""
+    instances = parse_dataset(FIXTURES / "tiny_dataset.jsonl")
+    split = split_dev_protocol(instances, ratio=0.8, seed=42)
+    config = TrainConfig(batch_size=16, learning_rate=0.01, dropout=0.0,
+                         max_epochs=5, patience=5, seed=42)
+
+    def make_model(encoder_class):
+        return DimASRModel(encoder_class(dim=32, vocab_size=4096, seed=0), seed=42,
+                           input_dropout_rate=0.0, head_dropout_rate=0.0)
+
+    history, live_sizes = _fit_row_aware_and_dense(
+        monkeypatch, make_model, list(split.train), list(split.eval), config)
+    assert any(r.clipped_frac > 0 for r in history.records)
+    assert live_sizes and all(live <= rows * kernels.ADAMW_DENSE_SHARE for live, rows in live_sizes)
+
+
+# (vocab_size, dim, dropout, settings): where the live rows stay relative to
+# ADAMW_DENSE_SHARE of the table, and what else the fit exercises
+ROW_AWARE_FITS = {
+    "under_quarter": (4096, 16, 0.0, {}),
+    "crosses_quarter": (128, 8, 0.0, {}),
+    "dropout_no_decay": (4096, 16, 0.2, {"weight_decay": 0.0}),
+    "best_epoch_restore": (256, 16, 0.0, {"learning_rate": 0.05, "max_epochs": 8, "patience": 3}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ROW_AWARE_FITS))
+def test_row_aware_fit_matches_dense_fit(monkeypatch, case):
+    vocab_size, dim, dropout, settings = ROW_AWARE_FITS[case]
+    instances = make_instances(48, seed=3)
+    config = TrainConfig(**dict(dict(batch_size=8, learning_rate=0.01, dropout=dropout,
+                                     max_epochs=3, patience=3, seed=1), **settings))
+
+    def make_model(encoder_class):
+        return DimASRModel(encoder_class(dim=dim, vocab_size=vocab_size, seed=0), seed=1,
+                           input_dropout_rate=dropout, head_dropout_rate=dropout)
+
+    history, live_sizes = _fit_row_aware_and_dense(
+        monkeypatch, make_model, instances[:36], instances[36:], config)
+    dense = [live > rows * kernels.ADAMW_DENSE_SHARE for live, rows in live_sizes]
+    assert live_sizes and any(dense) == (case == "crosses_quarter") and not all(dense)
+    if case == "best_epoch_restore":
+        assert history.stopped_early and history.best_epoch < len(history.records)
+
+
+def test_moments_stay_zero_on_rows_no_step_touched(monkeypatch):
+    """The row-aware step rests on m = v = 0 on every row no step has touched."""
+    optimizers = []
+
+    class RecordingAdamW(trainer.AdamW):
+        def __init__(self, params, config):
+            super().__init__(params, config)
+            optimizers.append(self)
+
+    monkeypatch.setattr(trainer, "AdamW", RecordingAdamW)
+    instances = make_instances(48, seed=3)
+    model = DimASRModel(TinyEncoder(dim=16, vocab_size=4096, seed=0), seed=1,
+                        input_dropout_rate=0.0, head_dropout_rate=0.0)
+    fit(model, instances[:36], instances[36:],
+        TrainConfig(batch_size=8, learning_rate=0.01, dropout=0.0, max_epochs=3, patience=3))
+    (optimizer,) = optimizers
+    touched = np.zeros(4096, dtype=bool)
+    for inst in instances[:36]:
+        touched[build_input(inst.text, inst.aspect, model.encoder)] = True
+    assert np.array_equal(optimizer.live["encoder.emb"], touched)
+    assert 0 < touched.sum() < 4096 * kernels.ADAMW_DENSE_SHARE
+    for moment in (optimizer.m["encoder.emb"], optimizer.v["encoder.emb"]):
+        assert not moment[~touched].any()
+        assert moment[touched].any(axis=1).all()
 
 
 def test_clip_gradients():
