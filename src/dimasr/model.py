@@ -237,7 +237,8 @@ class RegressionHead:
         A1, Z2 = kernels.head_forward(H, self.W1, self.b1, self.w2, self.b2, mask)
         return Z2, (H, A1, mask)
 
-    def backward(self, dZ2: np.ndarray, cache, grads: dict, input_grad: bool = True):
+    def backward(self, dZ2: np.ndarray, cache, grads: dict,
+                 input_grad: bool = True) -> Optional[np.ndarray]:
         """Accumulate parameter gradients; returns dL/dH summed over both heads,
         or None when `input_grad` is false."""
         H, A1, mask = cache

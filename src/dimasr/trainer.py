@@ -125,8 +125,9 @@ class AdamW:
     def __init__(self, params: dict, config: TrainConfig):
         self.params = params
         self.config = config
-        # np.zeros, not zeros_like: the pages of embedding rows no step
-        # touches are then never written, so never made resident
+        # np.zeros, not zeros_like: a page no live row lies on is never
+        # written (with 2 MiB transparent huge pages, scattered live rows can
+        # still reach every page of a table)
         self.m = {k: np.zeros(v.shape) for k, v in params.items()}
         self.v = {k: np.zeros(v.shape) for k, v in params.items()}
         self.live = {}  # name -> mask of the rows any step has reported
