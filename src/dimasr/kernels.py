@@ -12,8 +12,8 @@ import numpy as np
 # the two scratch arrays (1.5 MiB) stays in cache across the update's dozen
 # elementwise passes instead of streaming every full array from memory per pass
 ADAMW_BLOCK = 32768
-# share of a table's rows past which adamw_update stops gathering the live rows
-# and runs the full formula on every row: at d=32 over 4096 rows the row-aware
+# share of a table's rows past which the optimizer stops gathering the live
+# rows and keeps whole-table moments: at d=32 over 4096 rows the row-aware
 # step took 0.52 ms against 1.32 ms dense with 200 live rows, 1.35 ms against
 # 1.09 ms with 2000
 ADAMW_DENSE_SHARE = 0.25
@@ -73,26 +73,28 @@ def adamw_update(p, g, m, v, lr, beta1, beta2, eps, weight_decay, t, live=None):
     in that order and with the same roundings, so the result is bit-identical
     to the whole-array formula.
 
-    `live`, if given, is the sorted row ids (first axis) outside which g, m
-    and v are exactly 0. On such a row m and v stay 0 and the formula reduces
-    to p -= lr * (p*weight_decay), since 0/(sqrt(0)+eps) is 0 and 0 + x is x;
-    only the sign of a zero can differ from the full formula. So the full
-    formula runs on copies of the live rows only and a decay-only pass covers
-    the table. Past ADAMW_DENSE_SHARE of the rows the gathers cost more than
-    they save, and the full formula runs on every row.
+    `live`, if given, is row ids (first axis) of p outside which g, m and v
+    are exactly 0, and m and v hold the moments of those rows only: row i of
+    m and v belongs to row live[i] of p. On every other row the formula
+    reduces to p -= lr * (p*weight_decay), since 0/(sqrt(0)+eps) is 0 and
+    0 + x is x; only the sign of a zero can differ from the full formula. So
+    the full formula runs on a copy of the live rows of p and g and on m and
+    v in place, and a decay-only pass covers the table.
     """
     for x in (p, m, v):
         if not x.flags.c_contiguous:
             raise ValueError("adamw_update needs C-contiguous p, m and v")
     hyper = (lr, beta1, beta2, eps, weight_decay, t)
-    if live is None or len(live) > ADAMW_DENSE_SHARE * len(p):
+    if live is None:
         _adamw_blocked(p, g, m, v, *hyper)
         return
-    pl, ml, vl = p[live], m[live], v[live]
-    _adamw_blocked(pl, g[live], ml, vl, *hyper)
+    if m.shape != (len(live),) + p.shape[1:] or v.shape != m.shape:
+        raise ValueError("adamw_update with live rows needs m and v of one row per live row")
+    pl = p[live]
+    _adamw_blocked(pl, g[live], m, v, *hyper)
     if weight_decay != 0.0:  # with no decay the full formula leaves p as it is
         _decay_blocked(p, lr, weight_decay)
-    p[live], m[live], v[live] = pl, ml, vl
+    p[live] = pl
 
 
 def _blocks(n):

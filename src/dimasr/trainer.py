@@ -122,35 +122,63 @@ def _substream(seed: int, name: str, index: int = 0) -> np.random.Generator:
 
 
 class AdamW:
+    """Decoupled-weight-decay Adam over a model's parameters.
+
+    A parameter whose gradient reports its written rows from the first step
+    on (TinyEncoder's embedding table) is row-sparse: m and v hold one row
+    per row any step has reported, in the order first reported, and every
+    other row's moments are 0. Past ADAMW_DENSE_SHARE of the table's rows its
+    moments become whole tables, updated densely from then on. Every other
+    parameter's moments are whole arrays from the first step.
+    """
+
     def __init__(self, params: dict, config: TrainConfig):
         self.params = params
         self.config = config
-        # np.zeros, not zeros_like: a page no live row lies on is never
-        # written (with 2 MiB transparent huge pages, scattered live rows can
-        # still reach every page of a table)
-        self.m = {k: np.zeros(v.shape) for k, v in params.items()}
-        self.v = {k: np.zeros(v.shape) for k, v in params.items()}
-        self.live = {}  # name -> mask of the rows any step has reported
+        self.m, self.v = {}, {}  # allocated at each parameter's first step
+        self.live = {}  # row-sparse name -> its rows that m and v hold, in order
         self.t = 0
 
     def step(self, grads: dict, lr: float, rows: Optional[dict] = None) -> None:
         """One AdamW step. `rows`, as loss_and_grads fills it, names the rows
         each row-sparse gradient was written on this step; every other row of
-        it is 0. Rows no step has reported keep m = v = 0, so adamw_update
-        runs its full formula only on the rows reported so far."""
+        it is 0."""
         self.t += 1
         rows = rows or {}
-        for name, r in rows.items():
-            live = self.live.setdefault(name, np.zeros(len(self.params[name]), dtype=bool))
-            live[r] = True
         for name, p in self.params.items():
+            if name not in self.m:
+                self._allocate(name, p, name in rows)
+            if name in self.live:
+                self._add_rows(name, p, rows[name])
             # decoupled weight decay on weight matrices/embeddings, not biases
             wd = self.config.weight_decay if p.ndim >= 2 else 0.0
             kernels.adamw_update(
                 p, grads[name], self.m[name], self.v[name],
                 lr, 0.9, 0.999, 1e-8, wd, self.t,  # beta1, beta2, eps
-                live=np.flatnonzero(self.live[name]) if name in rows else None,
+                live=self.live.get(name),
             )
+
+    def _allocate(self, name, p, row_sparse):
+        shape = ((0,) + p.shape[1:]) if row_sparse else p.shape
+        self.m[name], self.v[name] = np.zeros(shape), np.zeros(shape)
+        if row_sparse:
+            self.live[name] = np.empty(0, dtype=np.intp)
+
+    def _add_rows(self, name, p, written):
+        """Give the rows first written this step zero moments; past
+        ADAMW_DENSE_SHARE of the rows, make the moments whole tables."""
+        new = np.setdiff1d(written, self.live[name])
+        if len(new):
+            self.live[name] = np.concatenate([self.live[name], new])
+            pad = np.zeros((len(new),) + p.shape[1:])
+            self.m[name] = np.concatenate([self.m[name], pad])
+            self.v[name] = np.concatenate([self.v[name], pad])
+        if len(self.live[name]) > kernels.ADAMW_DENSE_SHARE * len(p):
+            live = self.live.pop(name)
+            for moments in (self.m, self.v):
+                whole = np.zeros(p.shape)
+                whole[live] = moments[name]
+                moments[name] = whole
 
 
 def evaluate_rmse(model: DimASRModel, instances, features=None) -> float:

@@ -152,29 +152,40 @@ def test_adamw_matches_reference():
 @pytest.mark.parametrize("touched_percent", [0, 8, 100])  # none, random, all
 def test_adamw_live_rows_match_dense_oracle(shape, touched_percent):
     """Gradients nonzero only on each step's touched rows; `live` is every row
-    touched so far. Rows straddle ADAMW_BLOCK boundaries, and the random live
-    set passes ADAMW_DENSE_SHARE of the rows within the five steps, so both
-    forms run in one sequence."""
+    touched so far, in the order first touched, and m and v hold those rows'
+    moments only. p and the live rows' moments equal the whole-array oracle's,
+    whose moments stay 0 on every other row. Rows straddle ADAMW_BLOCK
+    boundaries."""
     rows = shape[0]
     for weight_decay in (0.0, 0.01):
         p = rng.normal(size=shape)
-        new = (p.copy(), np.zeros(shape), np.zeros(shape))
+        live = np.empty(0, dtype=np.intp)
+        new = (p.copy(), np.zeros((0,) + shape[1:]), np.zeros((0,) + shape[1:]))
         old = (p.copy(), np.zeros(shape), np.zeros(shape))
-        live = np.zeros(rows, dtype=bool)
         for t in range(1, 6):
             touched = rng.choice(rows, size=rows * touched_percent // 100, replace=False)
             g = np.zeros(shape)
             g[touched] = rng.normal(size=(len(touched),) + shape[1:])
-            live[touched] = True
+            first = np.setdiff1d(touched, live)
+            live = np.concatenate([live, rng.permutation(first)])
+            pad = np.zeros((len(first),) + shape[1:])
+            new = (new[0], np.concatenate([new[1], pad]), np.concatenate([new[2], pad]))
             hyper = (1e-3, 0.9, 0.999, 1e-8, weight_decay, t)
-            kernels.adamw_update(new[0], g, new[1], new[2], *hyper, live=np.flatnonzero(live))
+            kernels.adamw_update(new[0], g, new[1], new[2], *hyper, live=live)
             adamw_oracle(old[0], g, old[1], old[2], *hyper)
-            for got, want in zip(new, old):  # p, m, v
-                assert np.array_equal(got, want), (shape, touched_percent, weight_decay, t)
-            if touched_percent == 8 and t == 1:
-                assert live.sum() <= rows * kernels.ADAMW_DENSE_SHARE
-        if touched_percent == 8:
-            assert live.sum() > rows * kernels.ADAMW_DENSE_SHARE
+            assert np.array_equal(new[0], old[0]), (shape, touched_percent, weight_decay, t)
+            never = np.ones(rows, dtype=bool)
+            never[live] = False
+            for got, want in zip(new[1:], old[1:]):  # m, v
+                assert np.array_equal(got, want[live]), (shape, touched_percent, weight_decay, t)
+                assert not want[never].any()
+
+
+def test_adamw_live_rows_need_one_moment_row_per_live_row():
+    p = np.zeros((6, 3))
+    with pytest.raises(ValueError, match="one row per live row"):
+        kernels.adamw_update(p, np.zeros_like(p), np.zeros_like(p), np.zeros_like(p),
+                             1e-3, 0.9, 0.999, 1e-8, 0.0, 1, live=np.array([0, 4]))
 
 
 def test_adamw_rejects_non_contiguous():
@@ -187,19 +198,20 @@ def test_adamw_rejects_non_contiguous():
 def _fit_row_aware_and_dense(monkeypatch, make_model, fit_set, val_set, config):
     """The same fit twice: row-aware, then dense end to end (DenseTinyEncoder,
     whole-array AdamW oracle). Asserts history and every parameter are equal;
-    returns the row-aware fit's history and the (live, rows) of each of its
-    row-aware adamw_update calls."""
-    live_sizes = []
+    returns the row-aware fit's history and, per adamw_update call on its
+    embedding table, (live rows, or None for the dense form; table rows)."""
+    table_calls = []
     blocked = kernels.adamw_update
+    row_aware = make_model(TinyEncoder)
 
     def spy(p, *args, live=None):
-        if live is not None:
-            live_sizes.append((len(live), len(p)))
+        if p is row_aware.encoder.emb:
+            table_calls.append((None if live is None else len(live), len(p)))
         blocked(p, *args, live=live)
 
     with monkeypatch.context() as patch:
         patch.setattr(kernels, "adamw_update", spy)
-        model, history = fit(make_model(TinyEncoder), fit_set, val_set, config)
+        model, history = fit(row_aware, fit_set, val_set, config)
     with monkeypatch.context() as patch:
         patch.setattr(kernels, "adamw_update", dense_adamw)
         ref_model, ref_history = fit(make_model(DenseTinyEncoder), fit_set, val_set, config)
@@ -209,7 +221,7 @@ def _fit_row_aware_and_dense(monkeypatch, make_model, fit_set, val_set, config):
     assert params.keys() == ref_params.keys()
     for name in params:
         assert np.array_equal(params[name], ref_params[name]), name
-    return history, live_sizes
+    return history, table_calls
 
 
 def test_fit_matches_unblocked_adamw(monkeypatch):
@@ -223,10 +235,11 @@ def test_fit_matches_unblocked_adamw(monkeypatch):
         return DimASRModel(encoder_class(dim=32, vocab_size=4096, seed=0), seed=42,
                            input_dropout_rate=0.0, head_dropout_rate=0.0)
 
-    history, live_sizes = _fit_row_aware_and_dense(
+    history, table_calls = _fit_row_aware_and_dense(
         monkeypatch, make_model, list(split.train), list(split.eval), config)
     assert any(r.clipped_frac > 0 for r in history.records)
-    assert live_sizes and all(live <= rows * kernels.ADAMW_DENSE_SHARE for live, rows in live_sizes)
+    assert table_calls and all(live is not None and live <= rows * kernels.ADAMW_DENSE_SHARE
+                               for live, rows in table_calls)
 
 
 # (vocab_size, dim, dropout, settings): where the live rows stay relative to
@@ -250,16 +263,21 @@ def test_row_aware_fit_matches_dense_fit(monkeypatch, case):
         return DimASRModel(encoder_class(dim=dim, vocab_size=vocab_size, seed=0), seed=1,
                            input_dropout_rate=dropout, head_dropout_rate=dropout)
 
-    history, live_sizes = _fit_row_aware_and_dense(
+    history, table_calls = _fit_row_aware_and_dense(
         monkeypatch, make_model, instances[:36], instances[36:], config)
-    dense = [live > rows * kernels.ADAMW_DENSE_SHARE for live, rows in live_sizes]
-    assert live_sizes and any(dense) == (case == "crosses_quarter") and not all(dense)
+    assert all(live is None or live <= rows * kernels.ADAMW_DENSE_SHARE
+               for live, rows in table_calls)
+    dense = [live is None for live, _ in table_calls]
+    # the row-aware form first; once dense, dense to the end of the fit
+    assert table_calls and not dense[0] and dense == sorted(dense)
+    assert any(dense) == (case == "crosses_quarter")
     if case == "best_epoch_restore":
         assert history.stopped_early and history.best_epoch < len(history.records)
 
 
-def test_moments_stay_zero_on_rows_no_step_touched(monkeypatch):
-    """The row-aware step rests on m = v = 0 on every row no step has touched."""
+def test_moments_held_for_exactly_the_rows_steps_touched(monkeypatch):
+    """The row-aware step rests on m = v = 0 on every row no step has touched:
+    the optimizer holds moments for exactly the touched rows, and only those."""
     optimizers = []
 
     class RecordingAdamW(trainer.AdamW):
@@ -277,11 +295,13 @@ def test_moments_stay_zero_on_rows_no_step_touched(monkeypatch):
     touched = np.zeros(4096, dtype=bool)
     for inst in instances[:36]:
         touched[build_input(inst.text, inst.aspect, model.encoder)] = True
-    assert np.array_equal(optimizer.live["encoder.emb"], touched)
+    live = optimizer.live["encoder.emb"]
+    assert len(live) == len(set(live.tolist())) == touched.sum()
+    assert touched[live].all()
     assert 0 < touched.sum() < 4096 * kernels.ADAMW_DENSE_SHARE
     for moment in (optimizer.m["encoder.emb"], optimizer.v["encoder.emb"]):
-        assert not moment[~touched].any()
-        assert moment[touched].any(axis=1).all()
+        assert moment.shape == (len(live), 16)
+        assert moment.any(axis=1).all()
 
 
 def test_clip_gradients():
