@@ -13,19 +13,21 @@ Two dataset layouts are supported:
 Parsing yields one AspectInstance per given aspect, the unit both training and
 scoring use. Splits are deterministic functions of the id set, seed, and
 ratio, and always operate at sentence level so no text leaks between the two
-sides. read_jsonl, read_json, write_jsonl and write_json are the only code
-that decodes or encodes these files, so every malformed file is a DataError
-naming the file (and, for JSON Lines, the line); from_mapping is the only
-reader of a config section or checkpoint manifest.
+sides. read_jsonl, read_json, write_jsonl, write_json and the LLM transcript's
+line encoder are the only code that decodes or encodes these files, so every
+malformed file is a DataError naming the file (and, for JSON Lines, the line);
+from_mapping is the only reader of a config section or checkpoint manifest.
 """
 
 from __future__ import annotations
 
 import inspect
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from operator import is_
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -55,7 +57,7 @@ class VAPair:
 
     def __post_init__(self):
         for name, value in (("valence", self.valence), ("arousal", self.arousal)):
-            if not np.isfinite(value):
+            if not math.isfinite(value):
                 raise DataError(f"{name} must be finite, got {value!r}")
             if not VA_MIN <= value <= VA_MAX:
                 raise DataError(f"{name} {value} out of range [{VA_MIN}, {VA_MAX}]")
@@ -140,11 +142,16 @@ def read_json(path):
         raise DataError(f"{path}: malformed JSON ({getattr(exc, 'msg', exc)})") from None
 
 
-def write_jsonl(path, objs: Iterable[dict]) -> None:
-    """Write each object as one line of JSON, non-ASCII text kept as is."""
+# json.dumps(obj, ensure_ascii=False) builds an encoder like this one per call
+_ENCODER = json.JSONEncoder(ensure_ascii=False)
+
+
+def write_jsonl(path, objs: Iterable[dict], encode: Callable[[dict], str] = _ENCODER.encode) -> None:
+    """Write each object as one line of JSON, non-ASCII text kept as is;
+    `encode` gives an object's line, without the newline."""
     with Path(path).open("w", encoding="utf-8") as fh:
         for obj in objs:
-            fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
+            fh.write(encode(obj) + "\n")
 
 
 def write_json(path, obj) -> None:
@@ -351,6 +358,36 @@ def write_predictions(instances, pairs: Sequence[VAPair], path) -> None:
         "aspect_index": inst.aspect_index,
         "va": format_va_string(pair),
     } for inst, pair in zip(instances, pairs)))
+
+
+def transcript_line_encoder(prefix: Sequence[dict]) -> Callable[[dict], str]:
+    """The line of one LLM transcript record, without the newline, byte for byte
+    json.dumps(record, ensure_ascii=False), for records with string keys whose
+    "messages" list begins with the very objects of `prefix`, the messages every
+    prompt of a run shares. The prefix is encoded here, once; a record's line is
+    built from that text and the encoding of the record's other values."""
+    encode = _ENCODER.encode
+    n = len(prefix)
+    prefix_items = encode(prefix)[1:-1]  # the prefix's items without the brackets
+
+    def messages_json(messages) -> str:
+        if len(messages) < n or not all(map(is_, messages, prefix)):
+            raise ValueError("a transcript record's messages do not begin with the shared prefix")
+        items = encode(messages[n:])[1:-1]
+        return "[" + ", ".join(filter(None, (prefix_items, items))) + "]"
+
+    def line(record: dict) -> str:
+        return "{" + ", ".join(
+            encode(name) + ": " + (messages_json(value) if name == "messages" else encode(value))
+            for name, value in record.items()) + "}"
+
+    return line
+
+
+def write_transcript(prefix: Sequence[dict], records: Iterable[dict], path) -> None:
+    """One line per LLM transcript record, each the standard JSON encoding of
+    the record (see transcript_line_encoder for the prefix they share)."""
+    write_jsonl(path, records, transcript_line_encoder(prefix))
 
 
 def read_predictions(path) -> dict:

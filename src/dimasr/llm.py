@@ -14,14 +14,15 @@ recorded transcript so tests and CI never touch the network.
 
 from __future__ import annotations
 
+import math
 import os
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .data import DataError, VAPair, format_va_string, read_jsonl, write_jsonl
+from .data import DataError, VAPair, format_va_string, read_jsonl, write_transcript
 
 DEFAULT_SYSTEM_PROMPT = """\
 You are an expert in sentiment analysis. Your task is to predict Valence and Arousal scores for aspects in sentences.
@@ -70,17 +71,24 @@ class LlmRunConfig:
     timeout: float = 60.0
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise LlmError(f"{f.name} must be finite, got {value}")
         for name in ("temperature", "max_retries"):
             if getattr(self, name) < 0:
                 raise LlmError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if self.timeout <= 0:
+            raise LlmError(f"timeout must be > 0, got {self.timeout}")
 
 
 def render_query(text: str, aspect: str) -> str:
     return f'Text: "{text}"\nAspect: "{aspect}"'
 
 
-def build_prompt(instance, exemplars=DEFAULT_EXEMPLARS) -> list:
-    """Chat message list: system, exemplar user/assistant turns, then the query."""
+def build_prefix(exemplars=DEFAULT_EXEMPLARS) -> list:
+    """The messages every prompt of a run begins with: the system message, then
+    one user/assistant turn pair per labeled exemplar."""
     messages = [{"role": "system", "content": DEFAULT_SYSTEM_PROMPT}]
     for item in exemplars:
         if isinstance(item, tuple):
@@ -91,8 +99,13 @@ def build_prompt(instance, exemplars=DEFAULT_EXEMPLARS) -> list:
             raise LlmError(f"exemplar ({text!r}, {aspect!r}) is missing its gold label")
         messages.append({"role": "user", "content": render_query(text, aspect)})
         messages.append({"role": "assistant", "content": format_va_string(gold)})
-    messages.append({"role": "user", "content": render_query(instance.text, instance.aspect)})
     return messages
+
+
+def build_prompt(instance, prefix: list) -> list:
+    """Chat message list: the run's shared prefix (build_prefix), then the query.
+    The prefix's message objects are shared, not copied."""
+    return prefix + [{"role": "user", "content": render_query(instance.text, instance.aspect)}]
 
 
 def sample_exemplars(train_instances, k: int = 6, seed: int = 42):
@@ -197,12 +210,15 @@ def run_baseline(
     Parse/transport failures are retried up to config.max_retries, then the
     FALLBACK pair is recorded with status "fallback". The full transcript is
     written to `transcript_out` (a path) when given, enabling later replay.
+    The system message and exemplar turns are built once per run, and every
+    record's messages share them.
     """
+    prefix = build_prefix(exemplars)
     predictions = []
     log = []
     for instance in instances:
         key = instance_key(instance)
-        messages = build_prompt(instance, exemplars)
+        messages = build_prompt(instance, prefix)
         pair = None
         raw = None
         status = "fallback"
@@ -230,5 +246,5 @@ def run_baseline(
     if instances and n_fallback == len(instances):
         raise LlmError(f"all {n_fallback} requests failed; see run log")
     if transcript_out is not None:
-        write_jsonl(transcript_out, log)
+        write_transcript(prefix, log, transcript_out)
     return predictions, log

@@ -266,7 +266,10 @@ def fit(
             epoch_callback(epoch, model, record)
 
         stop = stopper.update(record.val_rmse_va)
-        if stopper.best_index == epoch:
+        # a new best never stops a fit, so the best epoch is the last one run
+        # only at max_epochs, where the parameters already are the best state:
+        # no snapshot is taken there and none is restored below
+        if stopper.best_index == epoch < config.max_epochs:
             # one snapshot, refreshed in place: no second copy of the
             # parameters is alive while the new best is taken
             if best_state is None:
@@ -279,6 +282,6 @@ def fit(
             break
 
     history.best_epoch = stopper.best_index
-    if best_state is not None:
+    if best_state is not None and history.best_epoch < len(history.records):
         model.load_state(best_state)
     return model, history

@@ -396,6 +396,12 @@ class TestMalformedSettings:
          "config error: llm setting 'temperature' must be a number, got 'warm'"),
         ("llm-baseline", "llm: {max_retries: -1}", 1,
          "config error: max_retries must be >= 0, got -1"),
+        ("llm-baseline", "llm: {timeout: 0}", 1, "config error: timeout must be > 0, got 0"),
+        ("llm-baseline", "llm: {timeout: -5}", 1, "config error: timeout must be > 0, got -5"),
+        ("llm-baseline", "llm: {timeout: .inf}", 1,
+         "config error: timeout must be finite, got inf"),
+        ("llm-baseline", "llm: {temperature: .nan}", 1,
+         "config error: temperature must be finite, got nan"),
         ("llm-baseline", "n_exemplars: x", 1, "n_exemplars must be an integer, got 'x'"),
         ("llm-baseline", "n_exemplars: -2", 1, "config error: n_exemplars must be >= 1, got -2"),
         ("predict", "[]", 2, "checkpoint settings must be a mapping, got list"),
@@ -412,6 +418,7 @@ class TestMalformedSettings:
             "train-negative-weight-decay", "train-infinite-clip", "train-nan-lr",
             "data-not-mapping", "data-missing-file", "top-level-unknown", "llm-unknown",
             "llm-not-mapping", "llm-string-temperature", "llm-negative-retries",
+            "llm-zero-timeout", "llm-negative-timeout", "llm-infinite-timeout", "llm-nan-temperature",
             "n-exemplars-string", "n-exemplars-negative", "manifest-list", "manifest-missing-keys",
             "manifest-hf-without-extra"])
     def test_probe(self, runner, prepared, tmp_path, monkeypatch, command, probe, code, message):

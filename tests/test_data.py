@@ -1,7 +1,9 @@
 import dataclasses
 import inspect
 import json
+import math
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
@@ -70,6 +72,28 @@ class TestVAPair:
     def test_nan_rejected(self):
         with pytest.raises(DataError):
             VAPair(float("nan"), 5.0)
+
+    @given(st.one_of(
+        st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+        st.floats(allow_nan=True, allow_infinity=True).map(np.float64),
+        st.integers(-2 ** 63, 2 ** 63 - 1),
+    ))
+    @example(float("nan"))
+    @example(float("-inf"))
+    @example(-0.0)
+    @example(5e-324)
+    @example(np.float64("inf"))
+    def test_math_and_numpy_finiteness_agree(self, value):
+        # the check VAPair makes (math.isfinite) decides as np.isfinite would
+        assert math.isfinite(value) == bool(np.isfinite(value))
+        valid = math.isfinite(value) and 1.0 <= value <= 9.0
+        try:
+            VAPair(value, 5.0)
+            VAPair(5.0, value)
+        except DataError:
+            assert not valid
+        else:
+            assert valid
 
 
 class TestParseDataset:

@@ -2,8 +2,10 @@ import json
 
 import pytest
 import requests
+from hypothesis import given, strategies as st
 
-from dimasr.data import AspectInstance, DataError, VAPair
+from dimasr import llm
+from dimasr.data import AspectInstance, DataError, VAPair, read_instances, transcript_line_encoder
 from dimasr.llm import (
     DEFAULT_EXEMPLARS,
     DEFAULT_SYSTEM_PROMPT,
@@ -12,6 +14,7 @@ from dimasr.llm import (
     LlmParseError,
     LlmRunConfig,
     ReplayTransport,
+    build_prefix,
     build_prompt,
     parse_llm_output,
     run_baseline,
@@ -25,7 +28,7 @@ QUERY = AspectInstance("q", 0, "great battery", "battery", None)
 
 class TestBuildPrompt:
     def test_default_exemplars(self):
-        messages = build_prompt(QUERY)
+        messages = build_prompt(QUERY, build_prefix())
         assert messages[0]["role"] == "system"
         assert messages[0]["content"] == DEFAULT_SYSTEM_PROMPT
         # second exemplar's answer turn
@@ -35,21 +38,22 @@ class TestBuildPrompt:
         assert len(messages) == 1 + 2 * 6 + 1
 
     def test_zero_shot(self):
-        messages = build_prompt(QUERY, exemplars=())
+        messages = build_prompt(QUERY, build_prefix(exemplars=()))
         assert len(messages) == 2
 
     def test_null_aspect_rendered_verbatim(self):
-        messages = build_prompt(QUERY)
+        messages = build_prompt(QUERY, build_prefix())
         assert any('Aspect: "NULL"' in m["content"] for m in messages)
 
     def test_exemplar_missing_gold(self):
         inst = AspectInstance("e", 0, "text", "aspect", None)
         with pytest.raises(LlmError, match="gold"):
-            build_prompt(QUERY, exemplars=[inst])
+            build_prefix(exemplars=[inst])
 
     def test_injective_on_query(self):
-        a = build_prompt(AspectInstance("q", 0, "same text", "food", None))
-        b = build_prompt(AspectInstance("q", 0, "same text", "staff", None))
+        prefix = build_prefix()
+        a = build_prompt(AspectInstance("q", 0, "same text", "food", None), prefix)
+        b = build_prompt(AspectInstance("q", 0, "same text", "staff", None), prefix)
         assert a != b
 
 
@@ -141,6 +145,89 @@ class TestRunBaseline:
         assert len(records) == 3
         for rec in records:
             assert set(rec) == {"key", "messages", "response", "parsed", "status"}
+
+
+# text that JSON must escape or keep as is: quotes, backslashes, control
+# characters, line separators and characters outside the Basic Multilingual Plane
+TRICKY_TEXT = st.text(st.one_of(st.sampled_from('"\\\x00\x1f\x7f\n\t\u2028\U0001f600\U0010ffff'),
+                                st.characters(exclude_categories=("Cs",))), max_size=12)
+AS_EXEMPLARS = st.builds(
+    AspectInstance, st.just("e"), st.integers(0, 3), TRICKY_TEXT, TRICKY_TEXT,
+    st.builds(VAPair, st.floats(1.0, 9.0), st.floats(1.0, 9.0)))
+
+
+class TestTranscript:
+    @given(exemplars=st.one_of(st.just(DEFAULT_EXEMPLARS), st.lists(AS_EXEMPLARS, max_size=4)),
+           queries=st.lists(st.tuples(TRICKY_TEXT, TRICKY_TEXT, TRICKY_TEXT), max_size=4),
+           status=st.sampled_from(["ok", "fallback"]))
+    def test_line_is_standard_json_encoding(self, exemplars, queries, status):
+        # the default exemplars and sampled ones (--exemplar-pool) both
+        prefix = build_prefix(exemplars)
+        line = transcript_line_encoder(prefix)
+        for text, aspect, response in queries:
+            record = {"key": f"{text}::0",
+                      "messages": build_prompt(AspectInstance(text, 0, text, aspect), prefix),
+                      "response": response, "parsed": "5.00#5.00", "status": status}
+            assert line(record) == json.dumps(record, ensure_ascii=False)
+
+    @given(prefix=st.lists(st.dictionaries(TRICKY_TEXT, TRICKY_TEXT, max_size=2), max_size=3),
+           tail=st.lists(st.dictionaries(TRICKY_TEXT, TRICKY_TEXT, max_size=2), max_size=2),
+           rest=st.dictionaries(TRICKY_TEXT.filter(lambda k: k != "messages"),
+                                st.one_of(st.none(), st.booleans(), st.integers(), TRICKY_TEXT),
+                                max_size=3))
+    def test_line_of_any_prefix_and_fields(self, prefix, tail, rest):
+        record = {**rest, "messages": prefix + tail}
+        assert transcript_line_encoder(prefix)(record) == json.dumps(record, ensure_ascii=False)
+
+    def test_messages_must_begin_with_the_prefix_objects(self):
+        prefix = build_prefix()
+        line = transcript_line_encoder(prefix)
+        copied = [dict(m) for m in prefix]  # equal, but not the shared objects
+        for messages in (copied, prefix[:-1], prefix[1:]):
+            with pytest.raises(ValueError, match="shared prefix"):
+                line({"key": "k", "messages": messages})
+
+    @pytest.mark.parametrize("sampled", [False, True], ids=["default", "exemplar-pool"])
+    def test_run_writes_full_records_byte_for_byte(self, tmp_path, sampled):
+        instances = read_instances(FIXTURES / "llm_instances.jsonl")
+        exemplars = DEFAULT_EXEMPLARS
+        if sampled:
+            exemplars = sample_exemplars(make_instances(12, seed=3), 6, seed=5)
+        out = tmp_path / "transcript.jsonl"
+        _, log = run_baseline(instances, LlmRunConfig(max_retries=1),
+                              ReplayTransport(FIXTURES / "replay_transcript.jsonl"),
+                              exemplars=exemplars, transcript_out=out)
+        assert out.read_bytes() == "".join(
+            json.dumps(r, ensure_ascii=False) + "\n" for r in log).encode("utf-8")
+        assert [r["key"] for r in log] == ["q1::0", "q2::0", "q3::0"]
+
+    def test_prefix_rendered_once_per_run(self, monkeypatch):
+        counts = {"build_prefix": 0, "render_query": 0}
+
+        def counting(name):
+            real = getattr(llm, name)
+
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return real(*args, **kwargs)
+            monkeypatch.setattr(llm, name, wrapper)
+
+        counting("build_prefix")
+        counting("render_query")
+        instances = read_instances(FIXTURES / "llm_instances.jsonl")
+        for run in (1, 2):
+            run_baseline(instances, LlmRunConfig(max_retries=1),
+                         ReplayTransport(FIXTURES / "replay_transcript.jsonl"))
+            per_run = len(DEFAULT_EXEMPLARS) + len(instances)
+            assert counts == {"build_prefix": run, "render_query": run * per_run}
+
+    def test_records_share_the_prefix(self):
+        instances = read_instances(FIXTURES / "llm_instances.jsonl")
+        _, log = run_baseline(instances, LlmRunConfig(max_retries=1),
+                              ReplayTransport(FIXTURES / "replay_transcript.jsonl"))
+        first = log[0]["messages"]
+        for record in log[1:]:
+            assert all(a is b for a, b in zip(record["messages"][:-1], first[:-1]))
 
 
 class TestReplayMalformed:

@@ -165,6 +165,42 @@ class TestFit:
         assert history.best_epoch == 1
 
 
+    @pytest.mark.parametrize("case,best,epochs,loads", [
+        ("best-last", 4, 4, 0), ("best-earlier", 2, 6, 1), ("early-stop", 2, 4, 1)])
+    def test_restores_only_when_best_epoch_is_not_last(self, monkeypatch, case, best, epochs,
+                                                       loads):
+        # the parameters after the last epoch run already are the best state
+        # when that epoch is the best one; otherwise fit restores the snapshot,
+        # which must equal the parameters the best epoch ended with
+        pool = make_instances(48, seed=3)
+        sixteen = make_instances(16, seed=7)
+        fit_set, val_set, cfg = {
+            "best-last": (sixteen, sixteen, smoke_config(batch_size=8, max_epochs=4, patience=4,
+                                                         learning_rate=0.03)),
+            "best-earlier": (pool[:32], pool[32:], smoke_config(max_epochs=6, patience=6,
+                                                                learning_rate=0.003)),
+            "early-stop": (pool[:32], pool[32:], smoke_config(max_epochs=10, patience=2,
+                                                              learning_rate=0.002)),
+        }[case]
+        loaded = []
+        load_state = DimASRModel.load_state
+        monkeypatch.setattr(DimASRModel, "load_state",
+                            lambda self, arrays: (loaded.append(1), load_state(self, arrays)))
+        ended = []  # each epoch's parameters, as they were after its validation
+
+        def keep(epoch, m, record):
+            ended.append({k: v.copy() for k, v in m.parameters().items()})
+
+        model, history = fit(tiny_model(), fit_set, val_set, cfg, epoch_callback=keep)
+        assert (history.best_epoch, len(history.records), len(loaded)) == (best, epochs, loads)
+        assert history.stopped_early == (case == "early-stop")
+        params = model.parameters()
+        assert params.keys() == ended[best - 1].keys()
+        for name, value in params.items():
+            np.testing.assert_array_equal(value, ended[best - 1][name])
+        assert evaluate_rmse(model, val_set) == history.records[best - 1].val_rmse_va
+
+
 class FrozenStandIn(TinyEncoder):
     """A frozen backbone's contract, as HFEncoder has it: no trainable
     parameters and a backward pass that does nothing."""
