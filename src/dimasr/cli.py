@@ -13,7 +13,9 @@ import dataclasses
 import datetime
 import functools
 import hashlib
+import math
 import sys
+import time
 from pathlib import Path
 
 import click
@@ -39,7 +41,9 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
-def write_manifest(out_dir: Path, command: str, config: dict, inputs: list, outputs: list, seed) -> None:
+def write_manifest(out_dir: Path, command: str, config: dict, inputs: list, outputs: list, seed,
+                   **traffic) -> None:
+    """Write manifest.json; `traffic` (instances, seconds) is added as is."""
     manifest = {
         "command": command,
         "config": config,
@@ -48,6 +52,7 @@ def write_manifest(out_dir: Path, command: str, config: dict, inputs: list, outp
         "seed": seed,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "checksums": {Path(p).name: _sha256(Path(p)) for p in outputs if Path(p).is_file()},
+        **traffic,
     }
     data_mod.write_json(out_dir / "manifest.json", manifest)
 
@@ -206,6 +211,7 @@ def train(config_path, seed, out):
 @handle_errors
 def predict(checkpoint, instances_path, out):
     """Eval-mode predictions for an instance file; writes predictions.jsonl."""
+    start = time.perf_counter()
     model = load_checkpoint(checkpoint)
     instances = data_mod.read_instances(instances_path)
     pairs = model.predict_pairs(instances) if instances else []
@@ -215,7 +221,8 @@ def predict(checkpoint, instances_path, out):
     data_mod.write_predictions(instances, pairs, pred_path)
     click.echo(f"wrote {len(pairs)} predictions to {pred_path}")
     write_manifest(out_dir, "predict", {"checkpoint": str(checkpoint)},
-                   [checkpoint, instances_path], [pred_path], model.seed)
+                   [checkpoint, instances_path], [pred_path], model.seed,
+                   instances=len(instances), seconds=time.perf_counter() - start)
 
 
 def _parse_edges(text: str):
@@ -223,13 +230,17 @@ def _parse_edges(text: str):
         edges = tuple(float(x) for x in text.split(","))
     except ValueError:
         raise ConfigError(f"cannot parse bin edges {text!r}")
+    for edge in edges:
+        if not math.isfinite(edge):
+            raise ConfigError(f"bin edges must be finite, got {edge} in {text!r}")
     return edges
 
 
 @main.command()
 @click.option("--gold", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--pred", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--gold-format", default="simple_jsonl", type=click.Choice(data_mod.FORMATS))
+@click.option("--gold-format", default="simple_jsonl", type=click.Choice(metrics_mod.GOLD_FORMATS),
+              help="A dataset format, or 'instances' for an instance file from prepare.")
 @click.option("--edges", default="1,3,5,7,9", show_default=True,
               help="Heatmap bin edges (used on both axes).")
 @click.option("--method", default="model", show_default=True)
@@ -238,6 +249,7 @@ def _parse_edges(text: str):
 @handle_errors
 def evaluate(gold, pred, gold_format, edges, method, dataset, out):
     """Score a prediction file against gold and write the full report."""
+    start = time.perf_counter()
     edge_list = _parse_edges(edges)
     report = metrics_mod.score_files(gold, pred, gold_format=gold_format, edges=edge_list)
     grid = report.heatmap
@@ -266,7 +278,8 @@ def evaluate(gold, pred, gold_format, edges, method, dataset, out):
     text_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     click.echo("\n".join(lines))
     write_manifest(out_dir, "evaluate", {"edges": list(edge_list), "gold_format": gold_format},
-                   [gold, pred], [report_path, text_path], None)
+                   [gold, pred], [report_path, text_path], None,
+                   instances=report.n, seconds=time.perf_counter() - start)
 
 
 @main.command("llm-baseline")

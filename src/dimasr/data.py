@@ -237,13 +237,16 @@ def _sentence_instances(obj, where: str) -> list:
             aspect, va = entry, None
         else:
             raise DataError(f"{where}: record {rid!r} has a malformed aspect entry")
+        aspect = str(aspect)
+        if not aspect.strip():
+            raise DataError(f"{where}: record {rid!r}: aspect {index} must be non-empty")
         gold = None
         if va is not None:
             try:
                 gold = parse_va_string(str(va))
             except DataError as exc:
                 raise DataError(f"{where}: record {rid!r}: {exc}") from None
-        instances.append(AspectInstance(rid, index, text, str(aspect), gold))
+        instances.append(AspectInstance(rid, index, text, aspect, gold))
     return instances
 
 
@@ -341,6 +344,8 @@ def read_instances(path):
         for name in ("text", "aspect"):
             if not isinstance(obj[name], str):
                 raise DataError(f"{where}: field {name!r} must be a string, got {obj[name]!r}")
+        if not obj["aspect"].strip():
+            raise DataError(f"{where}: field 'aspect' must be non-empty")
         gold = _line_va(obj["va"], where) if obj.get("va") else None
         instances.append(
             AspectInstance(str(obj["id"]), obj["aspect_index"], obj["text"], obj["aspect"], gold)

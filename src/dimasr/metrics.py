@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .data import VAPair, parse_dataset, read_predictions
+from .data import FORMATS, VAPair, parse_dataset, read_instances, read_predictions
 
 
 class MetricsError(ValueError):
@@ -24,6 +24,8 @@ class MetricsError(ValueError):
 
 
 DEFAULT_EDGES = (1.0, 3.0, 5.0, 7.0, 9.0)
+# a gold file is a dataset file, or an instance file as `dimasr prepare` writes
+GOLD_FORMATS = FORMATS + ("instances",)
 
 
 @dataclass
@@ -124,7 +126,9 @@ def paired_from_files(gold_path, pred_path, gold_format: str = "simple_jsonl"):
     Predictions are matched to gold instances on (sentence_id, aspect_index);
     every gold instance must have exactly one prediction.
     """
-    instances = [i for i in parse_dataset(gold_path, format=gold_format) if i.gold is not None]
+    labeled = (read_instances(gold_path) if gold_format == "instances"
+               else parse_dataset(gold_path, format=gold_format))
+    instances = [i for i in labeled if i.gold is not None]
     if not instances:
         raise MetricsError(f"{gold_path}: no gold-labeled instances")
     pred_map = read_predictions(pred_path)

@@ -18,7 +18,9 @@ Two encoder adapters are provided:
 
 from __future__ import annotations
 
+import functools
 import re
+import types
 import zlib
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -71,6 +73,21 @@ def build_input(text: str, aspect: str, encoder) -> list:
     return [encoder.cls_id] + text_ids + [encoder.sep_id] + aspect_ids + [encoder.sep_id]
 
 
+class _HashedVocab(dict):
+    """Token -> id for TinyEncoder, filled on first sight of a token with the
+    hash formula (crc32 of its UTF-8 bytes, folded into the non-special ids).
+    A cache of a pure function: it holds no state a checkpoint needs."""
+
+    def __init__(self, n_hashed: int):
+        super().__init__()
+        self.n_hashed = n_hashed
+
+    def __missing__(self, token: str) -> int:
+        token_id = zlib.crc32(token.encode("utf-8")) % self.n_hashed + TinyEncoder._N_SPECIAL
+        self[token] = token_id
+        return token_id
+
+
 class TinyEncoder:
     """Trainable stand-in encoder: hashed embeddings, mean pool, tanh layer."""
 
@@ -90,15 +107,14 @@ class TinyEncoder:
         self.emb = rng.normal(0.0, 0.5, size=(vocab_size, dim))
         self.W = rng.normal(0.0, 1.0 / np.sqrt(dim), size=(dim, dim))
         self.b = np.zeros(dim)
+        self._vocab = _HashedVocab(vocab_size - self._N_SPECIAL)
 
     @property
     def hidden_dim(self) -> int:
         return self.dim
 
     def tokenize(self, text: str) -> list:
-        toks = _TOKEN_RE.findall(text.lower())
-        n = self.vocab_size - self._N_SPECIAL
-        return [zlib.crc32(t.encode("utf-8")) % n + self._N_SPECIAL for t in toks]
+        return list(map(self._vocab.__getitem__, _TOKEN_RE.findall(text.lower())))
 
     def parameters(self) -> dict:
         return {"encoder.emb": self.emb, "encoder.W": self.W, "encoder.b": self.b}
@@ -106,8 +122,10 @@ class TinyEncoder:
     def encode_batch(self, token_seqs: Sequence[list]):
         n = len(token_seqs)
         P = np.empty((n, self.dim))
+        # the sum and the one division that .mean(axis=0) makes, in its order
         for i, ids in enumerate(token_seqs):
-            P[i] = self.emb[ids].mean(axis=0)
+            np.add.reduce(self.emb[ids], axis=0, out=P[i])
+        P /= np.fromiter(map(len, token_seqs), np.float64, n)[:, None]
         H = np.tanh(P @ self.W.T + self.b)
         return H, (token_seqs, P, H)
 
@@ -268,13 +286,23 @@ class DimASRModel:
         params.update(self.head.parameters())
         return params
 
-    def _encode(self, batch: Sequence[AspectInstance]):
+    def token_ids(self, instances: Sequence[AspectInstance]) -> list:
+        """build_input's token ids for each instance, in order. Each distinct
+        text and aspect is tokenized once per call."""
+        enc = self.encoder
+        memo = types.SimpleNamespace(tokenize=functools.cache(enc.tokenize), max_len=enc.max_len,
+                                     cls_id=enc.cls_id, sep_id=enc.sep_id)
         seqs = []
-        for inst in batch:
+        for inst in instances:
             try:
-                seqs.append(build_input(inst.text, inst.aspect, self.encoder))
+                seqs.append(build_input(inst.text, inst.aspect, memo))
             except Exception as exc:
                 raise ModelError(f"instance {inst.key}: {exc}") from exc
+        return seqs
+
+    def _encode(self, batch: Sequence[AspectInstance], ids: Optional[list] = None):
+        """encode_batch of the batch's token ids: `ids`, or token_ids(batch)."""
+        seqs = self.token_ids(batch) if ids is None else ids
         try:
             return self.encoder.encode_batch(seqs)
         except ModelError:
@@ -283,16 +311,21 @@ class DimASRModel:
             keys = [inst.key for inst in batch]
             raise ModelError(f"encoder failed on batch {keys[:3]}...: {exc}") from exc
 
-    def features(self, instances: Sequence[AspectInstance]):
+    def features(self, instances: Sequence[AspectInstance], ids: Optional[list] = None):
         """Yields the encoder outputs, one (rows, d) array per PREDICT_BATCH
-        instances in order: the chunks predict_raw runs the heads over."""
+        instances in order: the chunks predict_raw runs the heads over. `ids`,
+        if given, is token_ids(instances), computed once by the caller."""
+        if ids is None:
+            ids = self.token_ids(instances)
         for start in range(0, len(instances), PREDICT_BATCH):
-            yield self._encode(instances[start : start + PREDICT_BATCH])[0]
+            end = start + PREDICT_BATCH
+            yield self._encode(instances[start:end], ids[start:end])[0]
 
     def predict_raw(self, instances: Sequence[AspectInstance], features=None) -> np.ndarray:
         """Eval-mode raw head outputs, shape (n, 2), PREDICT_BATCH instances per
-        forward pass. Deterministic. `features`, if given, is the list
-        features(instances) yields, computed once by the caller."""
+        forward pass. Deterministic. `features`, if given, is what
+        features(instances) yields: a list computed once by the caller, or
+        features(instances, ids) for token ids the caller keeps."""
         if not instances:
             raise ModelError("batch must be non-empty")
         chunks = self.features(instances) if features is None else features
@@ -304,14 +337,15 @@ class DimASRModel:
 
     def loss_and_grads(self, batch: Sequence[AspectInstance], rng: np.random.Generator,
                        grads: dict, H: Optional[np.ndarray] = None,
-                       rows: Optional[dict] = None) -> float:
+                       rows: Optional[dict] = None, ids: Optional[list] = None) -> float:
         """Training-mode forward/backward. Returns the loss: the sum over valence
         and arousal of the mean squared error on the label scale.
 
         `grads` is a buffer shaped like parameters(); it is zeroed and filled in
         place, so a training loop reuses one across steps. `H`, if given, is the
         batch's encoder rows from a frozen encoder: the encoder then neither
-        runs forward nor backward.
+        runs forward nor backward. Otherwise `ids`, if given, is
+        token_ids(batch), computed once by the caller.
 
         `rows`, if given, maps a parameter name to the row ids outside which its
         gradient in `grads` is exactly 0. On entry it holds the rows the previous
@@ -328,7 +362,7 @@ class DimASRModel:
 
         frozen = H is not None
         if not frozen:
-            H, enc_cache = self._encode(batch)
+            H, enc_cache = self._encode(batch, ids)
         mask_in = None
         Hd = H
         if self.input_dropout_rate > 0.0:

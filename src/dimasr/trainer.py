@@ -195,10 +195,13 @@ def fit(
 ):
     """Train `model` in place; returns (model, TrainHistory).
 
-    An encoder with no trainable parameters gives the same outputs every
-    epoch, so it encodes the fit and val sets once, before the first epoch,
-    in the PREDICT_BATCH chunks predict_raw uses; steps take their rows from
-    the fit features and validation runs the heads over the val features.
+    The fit and val sets' token ids are built once per fit. A trainable
+    encoder encodes each step's batch, and each epoch's validation set, from
+    them. An encoder with no trainable parameters gives the same outputs
+    every epoch, so it encodes the fit and val sets once, before the first
+    epoch, in the PREDICT_BATCH chunks predict_raw uses, and the ids are
+    dropped; steps take their rows from the fit features and validation runs
+    the heads over the val features.
 
     `epoch_callback(epoch, model, record)` runs after each epoch's validation,
     before any early-stop decision (used for checkpoint streaming and tests).
@@ -222,13 +225,15 @@ def fit(
     history = TrainHistory()
     best_state = None
     step = 0
-    fit_features = val_features = None
-    if not model.encoder.parameters():
-        try:
-            fit_features = np.concatenate(list(model.features(fit_set)))
-            val_features = list(model.features(val_set))
-        except ModelError as exc:
-            raise TrainerError(str(exc)) from exc
+    frozen = not model.encoder.parameters()
+    try:
+        fit_ids, val_ids = model.token_ids(fit_set), model.token_ids(val_set)
+        if frozen:
+            fit_features = np.concatenate(list(model.features(fit_set, fit_ids)))
+            val_features = list(model.features(val_set, val_ids))
+            fit_ids = val_ids = None
+    except ModelError as exc:
+        raise TrainerError(str(exc)) from exc
 
     for epoch in range(1, config.max_epochs + 1):
         order = _substream(config.seed, "shuffle", epoch).permutation(len(fit_set))
@@ -237,9 +242,12 @@ def fit(
         for start in range(0, len(fit_set), config.batch_size):
             picked = order[start : start + config.batch_size]
             batch = [fit_set[i] for i in picked]
-            H = None if fit_features is None else fit_features[picked]
+            if frozen:
+                H, ids = fit_features[picked], None
+            else:
+                H, ids = None, [fit_ids[i] for i in picked]
             try:
-                loss = model.loss_and_grads(batch, dropout_rng, grads, H, rows)
+                loss = model.loss_and_grads(batch, dropout_rng, grads, H, rows, ids)
             except ModelError as exc:
                 raise TrainerError(str(exc)) from exc
             if not np.isfinite(loss):
@@ -256,7 +264,8 @@ def fit(
         record = EpochRecord(
             epoch=epoch,
             train_loss=epoch_loss / len(fit_set),
-            val_rmse_va=evaluate_rmse(model, val_set, val_features),
+            val_rmse_va=evaluate_rmse(
+                model, val_set, val_features if frozen else model.features(val_set, val_ids)),
             grad_norm_mean=float(np.mean(norms)),
             grad_norm_max=max(norms),
             clipped_frac=sum(n > config.grad_clip_norm for n in norms) / len(norms),

@@ -1,5 +1,8 @@
 import dataclasses
 import json
+import re
+import shlex
+import shutil
 import sys
 from pathlib import Path
 
@@ -178,6 +181,22 @@ class TestPredict:
         assert result.exit_code == 2
         assert f"data error: {instances}:2: not UTF-8 text" in result.output
 
+    def test_empty_aspect_exit_code(self, runner, prepared, zero_head_checkpoint, tmp_path):
+        instances = tmp_path / "inst.jsonl"
+        first = json.loads((prepared / "eval.jsonl").read_text().splitlines()[0])
+        instances.write_text(json.dumps(first) + "\n" + json.dumps(dict(first, aspect="")) + "\n")
+        result = runner.invoke(main, ["predict", "--checkpoint", str(zero_head_checkpoint),
+                                      "--instances", str(instances), "--out", str(tmp_path / "o")])
+        assert result.exit_code == 2
+        assert result.output == f"data error: {instances}:2: field 'aspect' must be non-empty\n"
+
+    def test_manifest_records_traffic(self, runner, prepared, zero_head_checkpoint, tmp_path):
+        out = tmp_path / "preds"
+        run_ok(runner, ["predict", "--checkpoint", str(zero_head_checkpoint),
+                        "--instances", str(prepared / "eval.jsonl"), "--out", str(out)])
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["instances"] == 3 and 0.0 < manifest["seconds"] < 60.0
+
     def test_corrupt_checkpoint_manifest_exit_code(self, runner, prepared,
                                                    zero_head_checkpoint, tmp_path):
         manifest = zero_head_checkpoint / "manifest.json"
@@ -202,6 +221,32 @@ class TestEvaluate:
         assert sum(c["count"] for row in report["heatmap"]["cells"] for c in row) == 5
         assert "rmse_va=1.0308" in result.output
         assert (out / "report.txt").exists()
+
+    def test_instance_file_as_gold(self, runner, prepared, tmp_path):
+        import dimasr.data as d
+
+        gold = prepared / "eval.jsonl"
+        pred = tmp_path / "pred.jsonl"
+        instances = d.read_instances(gold)
+        d.write_predictions(instances, [i.gold for i in instances], pred)
+        out = tmp_path / "eval"
+        run_ok(runner, ["evaluate", "--gold", str(gold), "--gold-format", "instances",
+                        "--pred", str(pred), "--out", str(out)])
+        assert json.loads((out / "report.json").read_text())["rmse_va"] == 0.0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["gold_format"] == "instances"
+        assert manifest["instances"] == len(instances) and manifest["seconds"] > 0.0
+
+    @pytest.mark.parametrize("edges,bad", [("1,nan,9", "nan"), ("1,5,inf", "inf"),
+                                           ("-inf,5,9", "-inf"), ("1,5,1e999", "inf")])
+    def test_non_finite_edges_are_config_error(self, runner, tmp_path, edges, bad):
+        out = tmp_path / "e"
+        result = runner.invoke(main, ["evaluate", "--gold", str(FIXTURES / "gold_5.jsonl"),
+                                      "--pred", str(FIXTURES / "pred_5.jsonl"),
+                                      "--edges", edges, "--out", str(out)])
+        assert result.exit_code == 1
+        assert result.output == f"config error: bin edges must be finite, got {bad} in {edges!r}\n"
+        assert not out.exists()
 
     def test_identical_files_zero(self, runner, tmp_path):
         import dimasr.data as d
@@ -456,3 +501,30 @@ class TestMalformedSettings:
         assert "Traceback" not in result.output
         assert result.output.count("\n") == 1 and message in result.output
         assert not (tmp_path / "out").exists()
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def quick_start_commands():
+    """The README's quick-start sh block: one argument list per command, with
+    continuation lines joined and comments dropped."""
+    text = README.read_text(encoding="utf-8")
+    block = re.search(r"## Quick start[^\n]*\n+```sh\n(.*?)```", text, re.S).group(1)
+    return [args for line in block.replace("\\\n", " ").splitlines()
+            if (args := shlex.split(line, comments=True))]
+
+
+def test_readme_quick_start_runs_as_written(runner, tmp_path, monkeypatch):
+    commands = quick_start_commands()
+    assert [c[:2] for c in commands] == [
+        ["dimasr", "prepare"], ["dimasr", "train"], ["dimasr", "predict"], ["dimasr", "evaluate"],
+        ["dimasr", "llm-baseline"], ["dimasr", "evaluate"], ["dimasr", "compare"]]
+    root = README.parent
+    shutil.copytree(root / "configs", tmp_path / "configs")
+    shutil.copytree(FIXTURES, tmp_path / "tests" / "fixtures")
+    monkeypatch.chdir(tmp_path)
+    for command in commands:
+        run_ok(runner, command[1:])
+    table = json.loads((tmp_path / "cmp" / "comparison.json").read_text())["table"]
+    assert set(table) == {"finetune", "llm"} and all(set(row) == {"tiny"} for row in table.values())

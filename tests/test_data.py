@@ -309,6 +309,23 @@ class TestMalformedLines:
         with pytest.raises(DataError, match=rf"inst\.jsonl:2: {message}"):
             read_instances(path)
 
+    @pytest.mark.parametrize("aspect", ["", "  \t"])
+    def test_instance_with_empty_aspect(self, tmp_path, aspect):
+        path = _write_lines(tmp_path / "inst.jsonl", [GOOD_INSTANCE, dict(GOOD_INSTANCE, aspect=aspect)])
+        with pytest.raises(DataError, match=r"inst\.jsonl:2: field 'aspect' must be non-empty"):
+            read_instances(path)
+
+    @pytest.mark.parametrize("aspect", ["", " ", {"aspect": ""}, {"Aspect": " \n", "VA": "5#5"}])
+    def test_dataset_with_empty_aspect(self, tmp_path, aspect):
+        sentence = {"id": "a", "text": "t", "aspects": ["x", aspect]}
+        path = _write_lines(tmp_path / "data.jsonl", [sentence])
+        with pytest.raises(DataError, match=r"data\.jsonl:1: record 'a': aspect 1 must be non-empty"):
+            parse_dataset(path)
+        path = tmp_path / "data.json"
+        path.write_text(json.dumps([{"ID": "b", "Text": "t", "Aspect_VA": [aspect]}]))
+        with pytest.raises(DataError, match=r"data\.json\[0\]: record 'b': aspect 0 must be non-empty"):
+            parse_dataset(path, "task_json")
+
     def test_empty_sentence_id_names_line(self, tmp_path):
         path = _write_lines(tmp_path / "data.jsonl", [
             {"id": "a", "text": "t", "aspects": ["x"]},
@@ -368,6 +385,7 @@ def test_readers_raise_only_data_error(tmp_path, reader, content):
         for inst in result:
             assert isinstance(inst.sentence_id, str) and type(inst.aspect_index) is int
             assert isinstance(inst.text, str) and isinstance(inst.aspect, str)
+            assert inst.aspect.strip()
             assert inst.gold is None or isinstance(inst.gold, VAPair)
 
 

@@ -1,8 +1,11 @@
+import copy
 import math
+import re
+import zlib
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from dimasr.data import AspectInstance, ConfigError, VAPair
 from dimasr.model import (
@@ -78,6 +81,80 @@ class TestBuildInput:
         enc = TinyEncoder(dim=8, max_len=8)
         with pytest.raises(ModelError, match="max_len"):
             build_input("t", " ".join(f"a{i}" for i in range(10)), enc)
+
+
+def crc32_ids(text, vocab_size):
+    """The tiny encoder's token ids by its formula, with no memo."""
+    return [zlib.crc32(t.encode("utf-8")) % (vocab_size - 3) + 3
+            for t in re.findall(r"\w+|[^\w\s]", text.lower())]
+
+
+# words of Latin letters, CJK runs, digits and punctuation, joined by spaces
+_words = st.text(st.sampled_from("abcXYZé服务菜很好0123!?,.'-"), min_size=1, max_size=5)
+_texts = st.lists(_words, max_size=12).map(" ".join)
+
+
+class TestTokenIds:
+    @settings(max_examples=60, deadline=None)
+    @given(sentences=st.lists(st.tuples(_texts, st.lists(_words, min_size=1, max_size=3)),
+                              min_size=1, max_size=5))
+    def test_equals_build_input_per_instance(self, sentences):
+        # an aspect is one word of at most 5 tokens, so it always fits in
+        # max_len 12, which leaves a text 4 to 8 tokens before truncating it;
+        # each sentence repeats its text over its aspects
+        instances = [AspectInstance(f"s{i}", k, text, aspect)
+                     for i, (text, aspects) in enumerate(sentences)
+                     for k, aspect in enumerate(aspects)]
+        model = DimASRModel(TinyEncoder(dim=4, max_len=12, seed=0), seed=0)
+        fresh = TinyEncoder(dim=4, max_len=12, seed=0)
+        assert model.token_ids(instances) == [build_input(i.text, i.aspect, fresh)
+                                              for i in instances]
+
+    def test_tokenizes_each_distinct_text_and_aspect_once(self, tiny_model, monkeypatch):
+        seen = []
+        tokenize = tiny_model.encoder.tokenize
+        monkeypatch.setattr(tiny_model.encoder, "tokenize",
+                            lambda text: seen.append(text) or tokenize(text))
+        instances = [AspectInstance("s1", k, "great screen, poor battery.", a)
+                     for k, a in enumerate(("screen", "battery"))]
+        instances += [AspectInstance("s2", 0, "the screen is dim", "screen")]
+        tiny_model.token_ids(instances)
+        assert sorted(seen) == sorted({i.text for i in instances} | {i.aspect for i in instances})
+
+    def test_names_the_instance_that_fails(self):
+        model = DimASRModel(TinyEncoder(dim=4, max_len=8, seed=0), seed=0)
+        bad = AspectInstance("s9", 2, "t", " ".join(f"a{i}" for i in range(10)))
+        with pytest.raises(ModelError, match=r"instance \('s9', 2\): .*max_len"):
+            model.token_ids(make_instances(2) + [bad])
+
+
+class TestTinyEncoder:
+    TEXTS = ("The food was AMAZING!", "服务很周到，菜也很新鲜。", "ça va... (2x)", "", "food food")
+
+    def test_memoized_tokenize_equals_formula(self):
+        enc = TinyEncoder(dim=4, vocab_size=97, seed=0)
+        for _ in range(2):  # the second pass reads every token from the memo
+            assert [enc.tokenize(t) for t in self.TEXTS] == [crc32_ids(t, 97) for t in self.TEXTS]
+        twin = copy.deepcopy(enc)
+        more = self.TEXTS + ("unseen words, after the copy",)
+        assert [twin.tokenize(t) for t in more] == [crc32_ids(t, 97) for t in more]
+
+    def test_memo_is_not_state(self, tmp_path):
+        enc = TinyEncoder(dim=4, vocab_size=97, seed=0)
+        enc.tokenize("fills the memo")
+        assert enc.spec() == TinyEncoder(dim=4, vocab_size=97, seed=0).spec()
+        assert set(enc.parameters()) == {"encoder.emb", "encoder.W", "encoder.b"}
+        save_checkpoint(DimASRModel(enc, seed=0), tmp_path / "ckpt")
+        with np.load(tmp_path / "ckpt" / "params.npz") as npz:
+            assert not [name for name in npz.files if not name.startswith(("encoder.", "head_"))]
+
+    @pytest.mark.parametrize("d", [1, 32, 256])
+    def test_pooling_equals_mean(self, d):
+        enc = TinyEncoder(dim=d, vocab_size=512, seed=d)
+        rng = np.random.default_rng(d)
+        seqs = [list(rng.integers(0, 512, size=n)) for n in (1, 2, 3, 7, 64, 255, 256)]
+        _, (_, P, _) = enc.encode_batch(seqs)
+        assert np.array_equal(P, np.stack([enc.emb[ids].mean(axis=0) for ids in seqs]))
 
 
 class TestForward:

@@ -269,6 +269,21 @@ class TestFrozenEncoder:
             np.testing.assert_array_equal(value, per_batch_params[name])
 
 
+@pytest.mark.parametrize("encoder_class", [TinyEncoder, FrozenStandIn])
+def test_token_ids_built_once_per_fit(encoder_class, monkeypatch):
+    # a trainable fit reuses its ids over 3 epochs of steps and validations
+    import dimasr.model
+
+    calls = []
+    monkeypatch.setattr(dimasr.model, "build_input",
+                        lambda *args: calls.append(args) or build_input(*args))
+    instances = make_instances(40, seed=3)
+    fit_set, val_set = instances[:30], instances[30:]
+    fit(DimASRModel(encoder_class(dim=8, seed=0), seed=42), fit_set, val_set,
+        smoke_config(max_epochs=3, patience=3))
+    assert len(calls) == len(fit_set) + len(val_set)
+
+
 class TestClipIntegration:
     def test_postclip_norm_bounded(self, sixteen_instances):
         from dimasr import kernels
