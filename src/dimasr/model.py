@@ -196,10 +196,7 @@ class HFEncoder:
         with torch.no_grad():
             out = self._model(input_ids=ids, attention_mask=mask)
         H = out.last_hidden_state[:, 0, :].numpy().astype(np.float64)
-        return H, None
-
-    def backward(self, dH, cache, grads) -> None:
-        pass  # frozen backbone: no gradient, so no rows to report
+        return H, None  # frozen backbone: no backward pass
 
     def spec(self) -> dict:
         return {"type": "hf", "name": self.name, "max_len": self.max_len}
@@ -300,52 +297,66 @@ class DimASRModel:
                 raise ModelError(f"instance {inst.key}: {exc}") from exc
         return seqs
 
-    def _encode(self, batch: Sequence[AspectInstance], ids: Optional[list] = None):
-        """encode_batch of the batch's token ids: `ids`, or token_ids(batch)."""
-        seqs = self.token_ids(batch) if ids is None else ids
+    def encoder_inputs(self, instances: Sequence[AspectInstance]):
+        """What encode() takes for a set: its token ids, or, behind an encoder
+        with no trainable parameters, whose outputs never change, its encoder
+        rows, encoded once in the PREDICT_BATCH chunks predict_raw runs and
+        written into one array."""
+        ids = self.token_ids(instances)
+        if self.encoder.parameters():
+            return ids
+        rows = np.empty((len(ids), self.encoder.hidden_dim))
+        for chunk, H in self._chunks(instances, ids):
+            rows[chunk] = H
+        return rows
+
+    def encode(self, batch: Sequence[AspectInstance], inputs, picked):
+        """(H, backward cache or None) for the positions `picked` of a set's
+        encoder_inputs(); `batch` is the set's instances at those positions.
+        Cached rows have no backward cache, and neither has HFEncoder."""
+        if isinstance(inputs, np.ndarray):
+            return inputs[picked], None
         try:
-            return self.encoder.encode_batch(seqs)
+            return self.encoder.encode_batch([inputs[i] for i in picked])
         except ModelError:
             raise
         except Exception as exc:
             keys = [inst.key for inst in batch]
             raise ModelError(f"encoder failed on batch {keys[:3]}...: {exc}") from exc
 
-    def features(self, instances: Sequence[AspectInstance], ids: Optional[list] = None):
-        """Yields the encoder outputs, one (rows, d) array per PREDICT_BATCH
-        instances in order: the chunks predict_raw runs the heads over. `ids`,
-        if given, is token_ids(instances), computed once by the caller."""
-        if ids is None:
-            ids = self.token_ids(instances)
+    def _chunks(self, instances, inputs):
+        """(positions, encode()'s rows) for each PREDICT_BATCH instances of a
+        set, in order."""
         for start in range(0, len(instances), PREDICT_BATCH):
-            end = start + PREDICT_BATCH
-            yield self._encode(instances[start:end], ids[start:end])[0]
+            chunk = range(start, min(start + PREDICT_BATCH, len(instances)))
+            yield chunk, self.encode(instances[start:chunk.stop], inputs, chunk)[0]
 
-    def predict_raw(self, instances: Sequence[AspectInstance], features=None) -> np.ndarray:
+    def predict_raw(self, instances: Sequence[AspectInstance], inputs=None) -> np.ndarray:
         """Eval-mode raw head outputs, shape (n, 2), PREDICT_BATCH instances per
-        forward pass. Deterministic. `features`, if given, is what
-        features(instances) yields: a list computed once by the caller, or
-        features(instances, ids) for token ids the caller keeps."""
+        forward pass. Deterministic. `inputs` is encoder_inputs(instances),
+        computed once by the caller; by default the token ids, encoded chunk
+        by chunk."""
         if not instances:
             raise ModelError("batch must be non-empty")
-        chunks = self.features(instances) if features is None else features
-        return np.concatenate([self.head.forward(H)[0].T for H in chunks])
+        if inputs is None:
+            inputs = self.token_ids(instances)
+        chunks = self._chunks(instances, inputs)
+        return np.concatenate([self.head.forward(H)[0].T for _, H in chunks])
 
-    def predict_pairs(self, instances: Sequence[AspectInstance], features=None) -> list:
-        raw = self.predict_raw(instances, features)
+    def predict_pairs(self, instances: Sequence[AspectInstance], inputs=None) -> list:
+        raw = self.predict_raw(instances, inputs)
         return [VAPair(float(v), float(a)) for v, a in scale_to_va(raw)]
 
     def loss_and_grads(self, batch: Sequence[AspectInstance], rng: np.random.Generator,
-                       grads: dict, H: Optional[np.ndarray] = None,
-                       rows: Optional[dict] = None, ids: Optional[list] = None) -> float:
+                       grads: dict, inputs, picked, rows: Optional[dict] = None) -> float:
         """Training-mode forward/backward. Returns the loss: the sum over valence
         and arousal of the mean squared error on the label scale.
 
-        `grads` is a buffer shaped like parameters(); it is zeroed and filled in
-        place, so a training loop reuses one across steps. `H`, if given, is the
-        batch's encoder rows from a frozen encoder: the encoder then neither
-        runs forward nor backward. Otherwise `ids`, if given, is
-        token_ids(batch), computed once by the caller.
+        `inputs` is encoder_inputs() of the set `batch` was drawn from, and
+        `picked` the batch's positions in it. `grads` is a buffer shaped like
+        parameters(); it is zeroed and filled in place, so a training loop
+        reuses one across steps. The encoder runs backward only when encode()
+        gives a backward cache.
 
         `rows`, if given, maps a parameter name to the row ids outside which its
         gradient in `grads` is exactly 0. On entry it holds the rows the previous
@@ -360,9 +371,7 @@ class DimASRModel:
         gold = np.asarray(golds).T  # (2, n), like the head outputs
         n = len(batch)
 
-        frozen = H is not None
-        if not frozen:
-            H, enc_cache = self._encode(batch, ids)
+        H, enc_cache = self.encode(batch, inputs, picked)
         mask_in = None
         Hd = H
         if self.input_dropout_rate > 0.0:
@@ -382,8 +391,8 @@ class DimASRModel:
             else:
                 g.fill(0.0)
         dz = (2.0 / n) * diff * 8.0 * s * (1.0 - s)
-        dHd = self.head.backward(dz, head_cache, grads, input_grad=not frozen)
-        if not frozen:
+        dHd = self.head.backward(dz, head_cache, grads, input_grad=enc_cache is not None)
+        if enc_cache is not None:
             dH = dHd if mask_in is None else dHd * mask_in
             written = self.encoder.backward(dH, enc_cache, grads)
             if rows is not None and written:

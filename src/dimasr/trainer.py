@@ -181,9 +181,9 @@ class AdamW:
                 moments[name] = whole
 
 
-def evaluate_rmse(model: DimASRModel, instances, features=None) -> float:
-    """Joint VA RMSE of the model's predictions; `features` as for predict_raw."""
-    return rmse_va(model.predict_pairs(instances, features), [inst.gold for inst in instances])
+def evaluate_rmse(model: DimASRModel, instances, inputs=None) -> float:
+    """Joint VA RMSE of the model's predictions; `inputs` as for predict_raw."""
+    return rmse_va(model.predict_pairs(instances, inputs), [inst.gold for inst in instances])
 
 
 def fit(
@@ -195,13 +195,10 @@ def fit(
 ):
     """Train `model` in place; returns (model, TrainHistory).
 
-    The fit and val sets' token ids are built once per fit. A trainable
-    encoder encodes each step's batch, and each epoch's validation set, from
-    them. An encoder with no trainable parameters gives the same outputs
-    every epoch, so it encodes the fit and val sets once, before the first
-    epoch, in the PREDICT_BATCH chunks predict_raw uses, and the ids are
-    dropped; steps take their rows from the fit features and validation runs
-    the heads over the val features.
+    The model's encoder_inputs() of the fit and val sets are built once per
+    fit: token ids, which a trainable encoder encodes for each step's batch
+    and each epoch's validation, or the rows of an encoder with no trainable
+    parameters, encoded once, which steps and validation only index.
 
     `epoch_callback(epoch, model, record)` runs after each epoch's validation,
     before any early-stop decision (used for checkpoint streaming and tests).
@@ -225,13 +222,8 @@ def fit(
     history = TrainHistory()
     best_state = None
     step = 0
-    frozen = not model.encoder.parameters()
     try:
-        fit_ids, val_ids = model.token_ids(fit_set), model.token_ids(val_set)
-        if frozen:
-            fit_features = np.concatenate(list(model.features(fit_set, fit_ids)))
-            val_features = list(model.features(val_set, val_ids))
-            fit_ids = val_ids = None
+        fit_inputs, val_inputs = model.encoder_inputs(fit_set), model.encoder_inputs(val_set)
     except ModelError as exc:
         raise TrainerError(str(exc)) from exc
 
@@ -242,12 +234,8 @@ def fit(
         for start in range(0, len(fit_set), config.batch_size):
             picked = order[start : start + config.batch_size]
             batch = [fit_set[i] for i in picked]
-            if frozen:
-                H, ids = fit_features[picked], None
-            else:
-                H, ids = None, [fit_ids[i] for i in picked]
             try:
-                loss = model.loss_and_grads(batch, dropout_rng, grads, H, rows, ids)
+                loss = model.loss_and_grads(batch, dropout_rng, grads, fit_inputs, picked, rows)
             except ModelError as exc:
                 raise TrainerError(str(exc)) from exc
             if not np.isfinite(loss):
@@ -264,8 +252,7 @@ def fit(
         record = EpochRecord(
             epoch=epoch,
             train_loss=epoch_loss / len(fit_set),
-            val_rmse_va=evaluate_rmse(
-                model, val_set, val_features if frozen else model.features(val_set, val_ids)),
+            val_rmse_va=evaluate_rmse(model, val_set, val_inputs),
             grad_norm_mean=float(np.mean(norms)),
             grad_norm_max=max(norms),
             clipped_frac=sum(n > config.grad_clip_norm for n in norms) / len(norms),

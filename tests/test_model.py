@@ -197,7 +197,8 @@ class TestForward:
     def test_missing_gold_rejected(self, tiny_model):
         inst = AspectInstance("x", 0, "text", "aspect", None)
         with pytest.raises(ModelError, match="gold"):
-            tiny_model.loss_and_grads([inst], np.random.default_rng(0), zero_grads(tiny_model))
+            tiny_model.loss_and_grads([inst], np.random.default_rng(0), zero_grads(tiny_model),
+                                      tiny_model.encoder_inputs([inst]), range(1))
 
 
 def head_gradient_check(d, seed, internal_dropout=False, dropout_rate=0.0):
@@ -274,7 +275,8 @@ class TestGradients:
         batch = make_instances(3, seed=5)
         rng = np.random.default_rng(0)
         grads = zero_grads(model)
-        model.loss_and_grads(batch, rng, grads)
+        inputs = model.encoder_inputs(batch)
+        model.loss_and_grads(batch, rng, grads, inputs, range(3))
         scratch = zero_grads(model)
         params = model.parameters()
         eps = 1e-5
@@ -287,9 +289,10 @@ class TestGradients:
                 idx = (used, 0)
             orig = p[idx]
             p[idx] = orig + eps
-            up = model.loss_and_grads(batch, np.random.default_rng(0), scratch)
+            up = model.loss_and_grads(batch, np.random.default_rng(0), scratch, inputs, range(3))
             p[idx] = orig - eps
-            down = model.loss_and_grads(batch, np.random.default_rng(0), scratch)
+            down = model.loss_and_grads(batch, np.random.default_rng(0), scratch, inputs,
+                                        range(3))
             p[idx] = orig
             numeric = (up - down) / (2 * eps)
             assert grads[name][idx] == pytest.approx(numeric, rel=1e-4, abs=1e-8)

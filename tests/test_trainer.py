@@ -291,7 +291,8 @@ class TestClipIntegration:
         model = tiny_model()
         rng = np.random.default_rng(0)
         grads = zero_grads(model)
-        model.loss_and_grads(sixteen_instances, rng, grads)
+        model.loss_and_grads(sixteen_instances, rng, grads,
+                             model.encoder_inputs(sixteen_instances), range(16))
         kernels.clip_gradients(list(grads.values()), 1.0)
         assert kernels.global_grad_norm(grads.values()) <= 1.0 + 1e-6
 
