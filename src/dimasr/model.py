@@ -34,6 +34,7 @@ from .data import (AspectInstance, ConfigError, DataError, MissingDependencyErro
 
 CHECKPOINT_VERSION = 1
 PREDICT_BATCH = 64  # instances per eval-mode forward pass
+MIN_MAX_LEN = 4  # the shortest input: [CLS] [SEP] a [SEP]
 
 _TOKEN_RE = re.compile(r"\w+|[^\w\s]", re.UNICODE)
 
@@ -96,9 +97,10 @@ class TinyEncoder:
     _N_SPECIAL = 3  # pad, cls, sep
 
     def __init__(self, dim: int = 32, vocab_size: int = 4096, max_len: int = 256, seed: int = 0):
-        if dim < 1 or vocab_size <= self._N_SPECIAL or seed < 0:
-            raise ModelError(f"tiny encoder needs dim >= 1, vocab_size > {self._N_SPECIAL} "
-                             f"and seed >= 0, got {dim}, {vocab_size} and {seed}")
+        if dim < 1 or vocab_size <= self._N_SPECIAL or max_len < MIN_MAX_LEN or seed < 0:
+            raise ModelError(f"tiny encoder needs dim >= 1, vocab_size > {self._N_SPECIAL}, "
+                             f"max_len >= {MIN_MAX_LEN} and seed >= 0, "
+                             f"got {dim}, {vocab_size}, {max_len} and {seed}")
         self.dim = dim
         self.vocab_size = vocab_size
         self.max_len = max_len
@@ -157,14 +159,14 @@ class HFEncoder:
     """Pretrained transformer backbone via `transformers` (frozen features)."""
 
     def __init__(self, name: str = "xlm-roberta-base", max_len: int = 256):
+        if max_len < MIN_MAX_LEN:
+            raise ModelError(f"max_len must be >= {MIN_MAX_LEN}, got {max_len}")
         try:
             import torch
             from transformers import AutoModel, AutoTokenizer
         except ImportError as exc:
-            raise MissingDependencyError(
-                "the pretrained encoder requires the 'hf' extra "
-                "(pip install dimasr[hf])"
-            ) from exc
+            raise MissingDependencyError("the pretrained encoder requires the 'hf' extra "
+                                         "(pip install dimasr[hf])") from exc
         self._torch = torch
         self.name = name
         self.max_len = max_len
@@ -318,8 +320,6 @@ class DimASRModel:
             return inputs[picked], None
         try:
             return self.encoder.encode_batch([inputs[i] for i in picked])
-        except ModelError:
-            raise
         except Exception as exc:
             keys = [inst.key for inst in batch]
             raise ModelError(f"encoder failed on batch {keys[:3]}...: {exc}") from exc
@@ -454,6 +454,9 @@ def load_checkpoint(path) -> DimASRModel:
                             input_dropout_rate=manifest.input_dropout_rate,
                             head_dropout_rate=manifest.head_dropout_rate,
                             head_internal_dropout=manifest.head_internal_dropout)
+        built = (model.encoder.hidden_dim, model.encoder.max_len)
+        if built != (manifest.hidden_dim, manifest.max_len):
+            raise ModelError(f"(hidden_dim, max_len) must be the encoder's {built}")
     except (ConfigError, ModelError) as exc:
         raise DataError(f"{manifest_path}: {exc}") from None
     with np.load(path / "params.npz") as npz:

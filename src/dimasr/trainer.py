@@ -18,7 +18,7 @@ import numpy as np
 from . import kernels
 from .data import from_mapping
 from .metrics import rmse_va
-from .model import DimASRModel, ModelError
+from .model import MIN_MAX_LEN, DimASRModel, ModelError
 
 
 class TrainerError(RuntimeError):
@@ -56,8 +56,9 @@ class TrainConfig:
             raise TrainerError(f"weight_decay must be >= 0, got {self.weight_decay}")
         if self.grad_clip_norm <= 0:
             raise TrainerError("grad_clip_norm must be positive")
-        if self.seed < 0:
-            raise TrainerError(f"seed must be >= 0, got {self.seed}")
+        if self.seed < 0 or self.max_len < MIN_MAX_LEN:
+            raise TrainerError(f"seed must be >= 0 and max_len >= {MIN_MAX_LEN}, "
+                               f"got {self.seed} and {self.max_len}")
 
     @classmethod
     def from_mapping(cls, mapping) -> "TrainConfig":

@@ -1,9 +1,14 @@
+import ast
+import contextlib
 import dataclasses
 import json
 import re
 import shlex
 import shutil
 import sys
+import types
+import zlib
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -12,9 +17,11 @@ import yaml
 from click.testing import CliRunner
 
 from dimasr.cli import main
-from dimasr.model import TinyEncoder, DimASRModel, save_checkpoint
-from dimasr.trainer import EpochRecord
-from .conftest import FIXTURES
+from dimasr.data import read_instances, write_instances, write_predictions
+from dimasr.model import (DimASRModel, HFEncoder, TinyEncoder, build_input, load_checkpoint,
+                          save_checkpoint)
+from dimasr.trainer import EpochRecord, TrainConfig, TrainerError, evaluate_rmse, fit
+from .conftest import FIXTURES, make_instances
 
 
 @pytest.fixture
@@ -396,6 +403,12 @@ class TestPathArguments:
 
 
 HF_MISSING = "error: the pretrained encoder requires the 'hf' extra (pip install dimasr[hf])"
+# the manifest of the checkpoint test_probe writes, which a probe edits
+TINY_MANIFEST = {
+    "format_version": 1, "encoder": {"type": "tiny", "dim": 8, "vocab_size": 4096, "max_len": 256,
+                                     "seed": 0},
+    "hidden_dim": 8, "max_len": 256, "input_dropout_rate": 0.1, "head_dropout_rate": 0.1,
+    "head_internal_dropout": True, "seed": 1}
 
 
 class TestMalformedSettings:
@@ -413,6 +426,11 @@ class TestMalformedSettings:
          "config error: encoder setting 'dim' must be an integer, got 'x'"),
         ("train", ("encoder", None, 5), 1, "encoder must be a mapping, got 5"),
         ("train", ("encoder", None, {"type": "hf"}), 3, HF_MISSING),
+        ("train", ("encoder", "max_len", 3), 1,
+         "config error: tiny encoder needs dim >= 1, vocab_size > 3, max_len >= 4 and seed >= 0, "
+         "got 32, 4096, 3 and 0"),
+        ("train", ("encoder", None, {"type": "hf", "max_len": 2}), 1,
+         "config error: max_len must be >= 4, got 2"),
         ("train", ("train", "max_epochs", True), 1,
          "config error: train setting 'max_epochs' must be an integer, got True"),
         ("train", ("train", "batch_size", "16"), 1,
@@ -430,6 +448,8 @@ class TestMalformedSettings:
          "config error: grad_clip_norm must be finite, got inf"),
         ("train", ("train", "learning_rate", float("nan")), 1,
          "config error: learning_rate must be finite, got nan"),
+        ("train", ("train", "max_len", -5), 1,
+         "config error: seed must be >= 0 and max_len >= 4, got 42 and -5"),
         ("train", ("data", None, 3), 1, "data must be a mapping, got 3"),
         ("train", ("data", "fit", "missing.jsonl"), 1,
          "config error: config must name data.fit and data.val instance files"),
@@ -456,16 +476,21 @@ class TestMalformedSettings:
             "format_version": 1, "encoder": {"type": "hf"}, "hidden_dim": 768, "max_len": 256,
             "input_dropout_rate": 0.1, "head_dropout_rate": 0.1, "head_internal_dropout": True,
             "seed": 1}), 3, HF_MISSING),
+        ("predict", json.dumps(dict(TINY_MANIFEST, hidden_dim=99)), 2,
+         "(hidden_dim, max_len) must be the encoder's (8, 256)"),
+        ("predict", json.dumps(dict(TINY_MANIFEST, max_len=7)), 2,
+         "(hidden_dim, max_len) must be the encoder's (8, 256)"),
     ], ids=["encoder-unknown", "encoder-float-dim", "encoder-string-dim", "encoder-not-mapping",
-            "encoder-hf-without-extra",
+            "encoder-hf-without-extra", "encoder-max-len-three", "encoder-hf-max-len-two",
             "train-bool-epochs", "train-string-batch", "train-string-lr", "train-not-mapping",
             "train-dropout-above-one", "train-dropout-negative", "train-dropout-one",
             "train-negative-weight-decay", "train-infinite-clip", "train-nan-lr",
+            "train-negative-max-len",
             "data-not-mapping", "data-missing-file", "top-level-unknown", "llm-unknown",
             "llm-not-mapping", "llm-string-temperature", "llm-negative-retries",
             "llm-zero-timeout", "llm-negative-timeout", "llm-infinite-timeout", "llm-nan-temperature",
             "n-exemplars-string", "n-exemplars-negative", "manifest-list", "manifest-missing-keys",
-            "manifest-hf-without-extra"])
+            "manifest-hf-without-extra", "manifest-other-hidden-dim", "manifest-other-max-len"])
     def test_probe(self, runner, prepared, tmp_path, monkeypatch, command, probe, code, message):
         # `import torch` raises ImportError, so an `hf` encoder lacks its optional packages
         monkeypatch.setitem(sys.modules, "torch", None)
@@ -501,6 +526,147 @@ class TestMalformedSettings:
         assert "Traceback" not in result.output
         assert result.output.count("\n") == 1 and message in result.output
         assert not (tmp_path / "out").exists()
+
+
+def test_encoder_failure_names_the_batch(runner, prepared, tmp_path, monkeypatch):
+    """An encoder that raises fails the run with its batch's first keys: fit
+    raises TrainerError, and predict exits 3 with one line, no traceback."""
+    def fail(self, token_seqs):
+        raise ValueError("backbone failed")
+
+    fit_set, val_set = (read_instances(prepared / n) for n in ("train.jsonl", "eval.jsonl"))
+    checkpoint = tmp_path / "ckpt"
+    save_checkpoint(DimASRModel(TinyEncoder(dim=8, seed=0), seed=1), checkpoint)
+    monkeypatch.setattr(TinyEncoder, "encode_batch", fail)
+    with pytest.raises(TrainerError) as info:
+        fit(DimASRModel(TinyEncoder(dim=8, seed=0), seed=1), fit_set, val_set,
+            TrainConfig(batch_size=4, max_epochs=1, patience=1))
+    named = re.fullmatch(r"encoder failed on batch (\[.*\])\.\.\.: backbone failed", str(info.value))
+    keys = ast.literal_eval(named.group(1))
+    assert len(keys) == 3 and set(keys) <= {inst.key for inst in fit_set}
+    result = runner.invoke(main, ["predict", "--checkpoint", str(checkpoint), "--instances",
+                                  str(prepared / "eval.jsonl"), "--out", str(tmp_path / "o")])
+    assert result.exit_code == 3 and isinstance(result.exception, SystemExit)
+    keys = [inst.key for inst in val_set[:3]]
+    assert result.output == f"error: encoder failed on batch {keys}...: backbone failed\n"
+
+
+HIDDEN = 24  # the fake backbone's width
+FAKE_VOCAB = 500
+
+
+class FakeTensor(np.ndarray):
+    """A numpy array with torch's .numpy()."""
+
+    def numpy(self):
+        return np.asarray(self)
+
+
+class FakeTokenizer:
+    cls_token_id, pad_token_id, sep_token_id = 0, 1, 2  # XLM-R's
+
+    def encode(self, text, add_special_tokens=True):
+        assert not add_special_tokens
+        return [zlib.crc32(w.encode()) % (FAKE_VOCAB - 3) + 3 for w in text.lower().split()]
+
+
+class FakeBackbone:
+    """Hidden state of each position: tanh of its token's embedding plus the
+    mean embedding of the row's tokens. A backbone named "...-masked" takes
+    the mean over the tokens the attention mask admits, any other over the
+    padding too, so its rows depend on which sequences share a batch.
+    Records each sequence it encodes, without its padding."""
+
+    def __init__(self, name):
+        self.name = name
+        self.config = types.SimpleNamespace(hidden_size=HIDDEN)
+        self.emb = np.random.default_rng(0).normal(size=(FAKE_VOCAB, HIDDEN)).astype(np.float32)
+        self.seen = []
+
+    def eval(self):
+        return self
+
+    def __call__(self, input_ids, attention_mask):
+        self.seen.extend(tuple(ids[mask == 1]) for ids, mask in zip(input_ids, attention_mask))
+        if not self.name.endswith("-masked"):
+            attention_mask = np.ones_like(attention_mask)
+        mask = attention_mask[..., None].astype(np.float32)
+        pooled = (self.emb[input_ids] * mask).sum(axis=1) / mask.sum(axis=1)
+        states = np.tanh(self.emb[input_ids] + pooled[:, None, :])
+        return types.SimpleNamespace(last_hidden_state=states.view(FakeTensor))
+
+
+@pytest.fixture
+def backbones(monkeypatch):
+    """Install numpy-backed `torch` and `transformers` stand-ins; returns the
+    list of backbones HFEncoder loads through them, in load order."""
+    loaded = []
+    torch = types.ModuleType("torch")
+    torch.long = np.int64
+    torch.full = lambda shape, fill, dtype: np.full(shape, fill, dtype)
+    torch.zeros = lambda shape, dtype: np.zeros(shape, dtype)
+    torch.tensor = lambda data, dtype: np.array(data, dtype)
+    torch.no_grad = contextlib.nullcontext
+    transformers = types.ModuleType("transformers")
+    transformers.AutoTokenizer = types.SimpleNamespace(from_pretrained=lambda name: FakeTokenizer())
+    transformers.AutoModel = types.SimpleNamespace(
+        from_pretrained=lambda name: loaded.append(FakeBackbone(name)) or loaded[-1])
+    monkeypatch.setitem(sys.modules, "torch", torch)
+    monkeypatch.setitem(sys.modules, "transformers", transformers)
+    return loaded
+
+
+class TestPretrainedEncoder:
+    """HFEncoder's own code (padding, attention mask, CLS row, spec() and an
+    `hf` checkpoint) through a fake backbone."""
+
+    def test_train_predict_evaluate(self, runner, backbones, tmp_path):
+        # 21 fit instances; 70 val instances, in predict chunks of 64 and 6;
+        # texts of 5 to 16 words, so a batch's padding depends on its members
+        instances = [dataclasses.replace(inst, text=inst.text + " very" * (k // 8))
+                     for k, inst in enumerate(make_instances(91, seed=1))]
+        write_instances(instances[:21], tmp_path / "fit.jsonl")
+        write_instances(instances[21:], tmp_path / "val.jsonl")
+        val_set = read_instances(tmp_path / "val.jsonl")  # gold as the files round it
+        cfg = write_train_config(tmp_path / "cfg.yaml", tmp_path / "fit.jsonl",
+                                 tmp_path / "val.jsonl", dropout=0.1)
+        settings = yaml.safe_load(cfg.read_text())
+        settings["encoder"] = {"type": "hf", "name": "fake-xlmr"}
+        cfg.write_text(yaml.safe_dump(settings))
+        run_ok(runner, ["train", "--config", str(cfg), "--out", str(tmp_path / "run")])
+        checkpoint = tmp_path / "run" / "checkpoint"
+        run_ok(runner, ["predict", "--checkpoint", str(checkpoint),
+                        "--instances", str(tmp_path / "val.jsonl"), "--out", str(tmp_path / "preds")])
+        predictions = tmp_path / "preds" / "predictions.jsonl"
+        run_ok(runner, ["evaluate", "--gold", str(tmp_path / "val.jsonl"), "--gold-format",
+                        "instances", "--pred", str(predictions), "--out", str(tmp_path / "eval")])
+
+        trained, predicted = backbones
+        restored = load_checkpoint(checkpoint)
+        # one forward pass per fit and val instance over the whole fit
+        assert Counter(trained.seen) == Counter(map(tuple, restored.token_ids(instances)))
+        assert Counter(predicted.seen) == Counter(map(tuple, restored.token_ids(val_set)))
+        history = json.loads((tmp_path / "run" / "history.json").read_text())
+        best = history["records"][history["best_epoch"] - 1]["val_rmse_va"]
+        assert evaluate_rmse(restored, val_set) == best
+        write_predictions(val_set, restored.predict_pairs(val_set), tmp_path / "again.jsonl")
+        assert predictions.read_bytes() == (tmp_path / "again.jsonl").read_bytes()
+        report = json.loads((tmp_path / "eval" / "report.json").read_text())
+        assert report["n"] == len(val_set) and report["rmse_va"] == pytest.approx(best, abs=0.01)
+        manifest = json.loads((checkpoint / "manifest.json").read_text())
+        assert manifest["encoder"] == restored.encoder.spec() == {
+            "type": "hf", "name": "fake-xlmr", "max_len": 256}
+        assert (manifest["hidden_dim"], manifest["max_len"]) == (HIDDEN, 256)
+
+    def test_cls_row_does_not_depend_on_padding(self, backbones):
+        encoder = HFEncoder("fake-xlmr-masked", max_len=32)
+        short = build_input("the soup", "soup", encoder)
+        longer = build_input("the soup was cold and the staff were slow", "staff", encoder)
+        alone, cache = encoder.encode_batch([short])
+        beside, _ = encoder.encode_batch([short, longer])
+        assert cache is None and beside.shape == (2, HIDDEN)
+        assert np.array_equal(alone[0], beside[0])
+        assert backbones[0].seen == [tuple(short), tuple(short), tuple(longer)]
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"

@@ -203,7 +203,8 @@ class TestFit:
 
 class FrozenStandIn(TinyEncoder):
     """A frozen backbone's contract, as HFEncoder has it: no trainable
-    parameters and a backward pass that does nothing."""
+    parameters. Its backward pass, which only OneUnusedParameter's steps
+    reach, does nothing."""
 
     def parameters(self) -> dict:
         return {}
