@@ -111,7 +111,7 @@ def main():
               help="dev: 80/20 split of the train file; submission: merge train+dev, hold out 10%.")
 @click.option("--ratio", default=0.8, show_default=True)
 @click.option("--holdout", default=0.1, show_default=True)
-@click.option("--seed", default=42, show_default=True)
+@click.option("--seed", default=42, show_default=True, type=click.IntRange(min=0))
 @click.option("--out", required=True, type=click.Path(file_okay=False))
 @handle_errors
 def prepare(train_file, dev_file, fmt, mode, ratio, holdout, seed, out):
@@ -233,6 +233,8 @@ def _parse_edges(text: str):
     for edge in edges:
         if not math.isfinite(edge):
             raise ConfigError(f"bin edges must be finite, got {edge} in {text!r}")
+    if len(edges) < 2 or any(a >= b for a, b in zip(edges, edges[1:])):
+        raise ConfigError(f"bin edges must be two or more, strictly ascending, got {text!r}")
     return edges
 
 
@@ -290,7 +292,7 @@ def evaluate(gold, pred, gold_format, edges, method, dataset, out):
               help="Transcript file to replay instead of live API calls.")
 @click.option("--exemplar-pool", type=click.Path(exists=True, dir_okay=False),
               help="Instance file to sample exemplars from (default: built-in set).")
-@click.option("--seed", default=42, show_default=True)
+@click.option("--seed", default=42, show_default=True, type=click.IntRange(min=0))
 @click.option("--out", required=True, type=click.Path(file_okay=False))
 @handle_errors
 def llm_baseline(config_path, instances_path, replay, exemplar_pool, seed, out):
@@ -338,6 +340,8 @@ def _read_report(path) -> dict:
         value = obj.get(name)
         if not isinstance(value, kind) or isinstance(value, bool):
             raise DataError(f"{path}: field {name!r} must be a {what}, got {value!r}")
+    if not 0 <= obj["rmse_va"] <= sys.float_info.max:  # false for NaN
+        raise DataError(f"{path}: field 'rmse_va' must be finite and >= 0, got {obj['rmse_va']!r}")
     return obj
 
 

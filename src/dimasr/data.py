@@ -24,7 +24,9 @@ from __future__ import annotations
 import inspect
 import json
 import math
+from contextlib import suppress
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 from operator import is_
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
@@ -155,8 +157,13 @@ def write_jsonl(path, objs: Iterable[dict], encode: Callable[[dict], str] = _ENC
 
 
 def write_json(path, obj) -> None:
-    """Write one JSON document, indented by two spaces."""
-    Path(path).write_text(json.dumps(obj, indent=2), encoding="utf-8")
+    """Write one JSON document, indented by two spaces. A NaN or infinite
+    number, which standard JSON cannot hold, is a DataError naming the file."""
+    try:
+        text = json.dumps(obj, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from None
+    Path(path).write_text(text, encoding="utf-8")
 
 
 # how a message names each type a setting may have
@@ -240,12 +247,7 @@ def _sentence_instances(obj, where: str) -> list:
         aspect = str(aspect)
         if not aspect.strip():
             raise DataError(f"{where}: record {rid!r}: aspect {index} must be non-empty")
-        gold = None
-        if va is not None:
-            try:
-                gold = parse_va_string(str(va))
-            except DataError as exc:
-                raise DataError(f"{where}: record {rid!r}: {exc}") from None
+        gold = None if va is None else _line_va(str(va), where, rid)
         instances.append(AspectInstance(rid, index, text, aspect, gold))
     return instances
 
@@ -284,8 +286,7 @@ def split_dev_protocol(instances, ratio: float = 0.8, seed: int = 42) -> Dataset
         raise DataError(f"need at least 2 distinct sentences to split, got {len(ids)}")
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(ids))
-    n_train = int(round(ratio * len(ids)))
-    n_train = min(max(n_train, 1), len(ids) - 1)
+    n_train = min(max(int(round(ratio * len(ids))), 1), len(ids) - 1)
     eval_ids = {ids[i] for i in order[n_train:]}
     return DatasetSplit(tuple(i for i in instances if i.sentence_id not in eval_ids),
                         tuple(i for i in instances if i.sentence_id in eval_ids))
@@ -298,9 +299,7 @@ def merge_and_hold_out(train, dev, holdout_fraction: float = 0.1, seed: int = 42
             f"holdout fraction must be in (0, 1), got {holdout_fraction} "
             "(a validation set is required for early stopping)"
         )
-    train_ids = set(i.sentence_id for i in train)
-    dev_ids = set(i.sentence_id for i in dev)
-    overlap = train_ids & dev_ids
+    overlap = {i.sentence_id for i in train} & {i.sentence_id for i in dev}
     if overlap:
         raise DataError(f"train/dev sentence ids overlap: {sorted(overlap)[:5]}")
     return split_dev_protocol(list(train) + list(dev), ratio=1.0 - holdout_fraction, seed=seed)
@@ -319,11 +318,13 @@ def _check_fields(obj: dict, where: str, names: Sequence[str]) -> None:
         raise DataError(f"{where}: aspect_index must be an integer, got {obj['aspect_index']!r}")
 
 
-def _line_va(s, where: str) -> VAPair:
-    """parse_va_string for one line of a file; errors name the file and line."""
+def _line_va(s, where: str, rid=None) -> VAPair:
+    """parse_va_string for one line of a file; errors name the file and line,
+    and the sentence record `rid` when given."""
     try:
         return parse_va_string(s)
     except DataError as exc:
+        where = where if rid is None else f"{where}: record {rid!r}"
         raise DataError(f"{where}: {exc}") from None
 
 
@@ -395,13 +396,32 @@ def write_transcript(prefix: Sequence[dict], records: Iterable[dict], path) -> N
     write_jsonl(path, records, transcript_line_encoder(prefix))
 
 
-def read_predictions(path) -> dict:
-    """Load a prediction file as {(sentence_id, aspect_index): VAPair}."""
-    preds = {}
-    for where, obj in read_jsonl(path):
-        _check_fields(obj, where, ("id", "aspect_index", "va"))
-        key = (str(obj["id"]), obj["aspect_index"])
-        if key in preds:
-            raise DataError(f"{where}: duplicate prediction for {key}")
-        preds[key] = _line_va(obj["va"], where)
-    return preds
+def _va_rows(column: list, wheres: list) -> np.ndarray:
+    """The float64 (n, 2) rows of a column of "V#A" strings, as parse_va_string
+    reads each. If any is bad, it is found line by line, named by `wheres`."""
+    with suppress(TypeError, ValueError):  # a value that is not a string; not a number
+        # one '#' in every string, so the split parts pair up string by string
+        if set(map(str.count, column, repeat("#"))) == {1}:
+            rows = np.array(list(map(float, "#".join(column).split("#")))).reshape(-1, 2)
+            if np.all((rows >= VA_MIN) & (rows <= VA_MAX)):  # false for NaN
+                return rows
+    return np.array([(p.valence, p.arousal) for p in map(_line_va, column, wheres)]).reshape(-1, 2)
+
+
+def read_predictions(path) -> tuple:
+    """Load a prediction file as ({(sentence_id, aspect_index): row}, rows), where
+    `rows` is the float64 (n, 2) array of the lines' (valence, arousal)."""
+    index, column, wheres = {}, [], []
+    try:
+        for where, obj in read_jsonl(path):
+            _check_fields(obj, where, ("id", "aspect_index", "va"))
+            key = (str(obj["id"]), obj["aspect_index"])
+            if key in index:
+                raise DataError(f"{where}: duplicate prediction for {key}")
+            index[key] = len(column)
+            column.append(obj["va"])
+            wheres.append(where)
+    except DataError:
+        _va_rows(column, wheres)  # a bad "V#A" on an earlier line is named first
+        raise
+    return index, _va_rows(column, wheres)

@@ -12,11 +12,11 @@ at 9.0) and reports per-cell joint RMSE plus sample count.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .data import FORMATS, VAPair, parse_dataset, read_instances, read_predictions
+from .data import FORMATS, parse_dataset, read_instances, read_predictions
 
 
 class MetricsError(ValueError):
@@ -48,41 +48,38 @@ class HeatmapGrid:
     cells: list = field(default_factory=list)
 
 
-def _as_arrays(preds: Sequence[VAPair], golds: Sequence[VAPair]):
+def _as_arrays(preds, golds):
+    """preds and golds, each a VAPair list or an (n, 2) array of VA rows, as arrays."""
     if len(preds) != len(golds):
         raise MetricsError(f"length mismatch: {len(preds)} preds vs {len(golds)} golds")
-    if not preds:
+    if not len(preds):
         raise MetricsError("empty instance set")
-    p = np.array([(x.valence, x.arousal) for x in preds])
-    g = np.array([(x.valence, x.arousal) for x in golds])
-    return p, g
+    return tuple(x if isinstance(x, np.ndarray) else np.array([(y.valence, y.arousal) for y in x])
+                 for x in (preds, golds))
 
 
-def rmse_va(preds: Sequence[VAPair], golds: Sequence[VAPair]) -> float:
+def rmse_va(preds, golds) -> float:
     p, g = _as_arrays(preds, golds)
     return float(np.sqrt(np.mean(np.sum((p - g) ** 2, axis=1))))
 
 
-def rmse_per_dimension(preds: Sequence[VAPair], golds: Sequence[VAPair]):
+def rmse_per_dimension(preds, golds):
     p, g = _as_arrays(preds, golds)
-    rv = float(np.sqrt(np.mean((p[:, 0] - g[:, 0]) ** 2)))
-    ra = float(np.sqrt(np.mean((p[:, 1] - g[:, 1]) ** 2)))
-    return rv, ra
+    return tuple(float(np.sqrt(np.mean((p[:, k] - g[:, k]) ** 2))) for k in (0, 1))
 
 
-def per_instance_errors(preds: Sequence[VAPair], golds: Sequence[VAPair]) -> list:
+def per_instance_errors(preds, golds) -> np.ndarray:
     """Euclidean distance between predicted and gold VA points, order preserved."""
     p, g = _as_arrays(preds, golds)
-    return [float(e) for e in np.sqrt(np.sum((p - g) ** 2, axis=1))]
+    return np.sqrt(np.sum((p - g) ** 2, axis=1))
 
 
-def error_distribution(errors: Sequence[float]):
+def error_distribution(errors):
     """(median, fraction strictly below 1.0, fraction strictly above 2.0)."""
     if len(errors) == 0:
         raise MetricsError("empty error list")
-    e = np.asarray(errors, dtype=np.float64)
-    median = float(np.median(e))  # midpoint of central pair for even N
-    return median, float(np.mean(e < 1.0)), float(np.mean(e > 2.0))
+    e = np.asarray(errors, dtype=np.float64)  # np.median: midpoint of central pair for even N
+    return float(np.median(e)), float(np.mean(e < 1.0)), float(np.mean(e > 2.0))
 
 
 def va_heatmap(preds, golds, v_edges=DEFAULT_EDGES, a_edges=DEFAULT_EDGES) -> HeatmapGrid:
@@ -92,36 +89,25 @@ def va_heatmap(preds, golds, v_edges=DEFAULT_EDGES, a_edges=DEFAULT_EDGES) -> He
     p, g = _as_arrays(preds, golds)
     sq = np.sum((p - g) ** 2, axis=1)
     # left-closed right-open bins; values at or past the last edge go to the last bin
-    vi = np.clip(np.searchsorted(v_edges, g[:, 0], side="right") - 1, 0, len(v_edges) - 2)
-    ai = np.clip(np.searchsorted(a_edges, g[:, 1], side="right") - 1, 0, len(a_edges) - 2)
-    cells = []
-    for i in range(len(v_edges) - 1):
-        row = []
-        for j in range(len(a_edges) - 1):
-            members = sq[(vi == i) & (ai == j)]
-            rmse = float(np.sqrt(np.mean(members))) if members.size else None
-            row.append({"rmse": rmse, "count": int(members.size)})
-        cells.append(row)
+    vi, ai = (np.clip(np.searchsorted(edges, g[:, k], side="right") - 1, 0, len(edges) - 2)
+              for k, edges in enumerate((v_edges, a_edges)))
+    members = [[sq[(vi == i) & (ai == j)] for j in range(len(a_edges) - 1)]
+               for i in range(len(v_edges) - 1)]
+    cells = [[{"rmse": float(np.sqrt(np.mean(m))) if m.size else None, "count": int(m.size)}
+              for m in row] for row in members]
     return HeatmapGrid(tuple(v_edges), tuple(a_edges), cells)
 
 
-def full_report(preds: Sequence[VAPair], golds: Sequence[VAPair]) -> EvalReport:
-    rv, ra = rmse_per_dimension(preds, golds)
-    errors = per_instance_errors(preds, golds)
-    median, below, above = error_distribution(errors)
-    return EvalReport(
-        rmse_va=rmse_va(preds, golds),
-        rmse_v=rv,
-        rmse_a=ra,
-        n=len(preds),
-        error_median=median,
-        frac_below_1=below,
-        frac_above_2=above,
-    )
+def full_report(preds, golds) -> EvalReport:
+    p, g = _as_arrays(preds, golds)
+    rv, ra = rmse_per_dimension(p, g)
+    median, below, above = error_distribution(per_instance_errors(p, g))
+    return EvalReport(rmse_va(p, g), rv, ra, len(p), median, below, above)
 
 
 def paired_from_files(gold_path, pred_path, gold_format: str = "simple_jsonl"):
-    """(preds, golds) aligned lists from one parse of each file.
+    """(preds, golds): float64 (n, 2) VA arrays whose row i is the i-th gold-labeled
+    instance, from one parse of each file.
 
     Predictions are matched to gold instances on (sentence_id, aspect_index);
     every gold instance must have exactly one prediction.
@@ -131,18 +117,17 @@ def paired_from_files(gold_path, pred_path, gold_format: str = "simple_jsonl"):
     instances = [i for i in labeled if i.gold is not None]
     if not instances:
         raise MetricsError(f"{gold_path}: no gold-labeled instances")
-    pred_map = read_predictions(pred_path)
+    index, rows = read_predictions(pred_path)
 
-    missing = [i.key for i in instances if i.key not in pred_map]
+    picked = [index.get(i.key) for i in instances]
+    missing = [i.key for i, row in zip(instances, picked) if row is None]
     if missing:
         raise MetricsError(f"missing predictions for {len(missing)} instances: {missing[:10]}")
-    extra = set(pred_map) - {i.key for i in instances}
-    if extra:
+    if len(set(picked)) < len(index):  # a prediction that no gold instance picked
+        extra = set(index) - {i.key for i in instances}
         raise MetricsError(f"predictions for unknown instances: {sorted(extra)[:10]}")
 
-    preds = [pred_map[i.key] for i in instances]
-    golds = [i.gold for i in instances]
-    return preds, golds
+    return rows[picked], np.array([(i.gold.valence, i.gold.arousal) for i in instances])
 
 
 def score_files(gold_path, pred_path, gold_format: str = "simple_jsonl",
@@ -150,7 +135,7 @@ def score_files(gold_path, pred_path, gold_format: str = "simple_jsonl",
     """Official-scorer-style entry point: gold dataset file vs prediction file.
 
     The report carries the error heatmap over `edges` on both axes, built from
-    the same aligned pairs (see paired_from_files).
+    the same aligned arrays (see paired_from_files).
     """
     preds, golds = paired_from_files(gold_path, pred_path, gold_format=gold_format)
     report = full_report(preds, golds)

@@ -250,10 +250,14 @@ def fit(
             optimizer.step(grads, lr_at(step, total_steps, config), rows)
             epoch_loss += loss * len(batch)
 
+        try:
+            val_rmse_va = evaluate_rmse(model, val_set, val_inputs)
+        except ModelError as exc:
+            raise TrainerError(str(exc)) from exc
         record = EpochRecord(
             epoch=epoch,
             train_loss=epoch_loss / len(fit_set),
-            val_rmse_va=evaluate_rmse(model, val_set, val_inputs),
+            val_rmse_va=val_rmse_va,
             grad_norm_mean=float(np.mean(norms)),
             grad_norm_max=max(norms),
             clipped_frac=sum(n > config.grad_clip_norm for n in norms) / len(norms),

@@ -244,6 +244,29 @@ class TestEvaluate:
         assert manifest["config"]["gold_format"] == "instances"
         assert manifest["instances"] == len(instances) and manifest["seconds"] > 0.0
 
+    @pytest.mark.parametrize("gold,fmt", [("gold_5.jsonl", "simple_jsonl"),
+                                          ("gold_5_instances.jsonl", "instances")])
+    def test_report_bytes(self, runner, tmp_path, gold, fmt):
+        """report.json and report.txt of the fixtures, byte for byte, from a
+        dataset file and from an instance file as gold."""
+        out = tmp_path / "eval"
+        run_ok(runner, ["evaluate", "--gold", str(FIXTURES / gold), "--gold-format", fmt,
+                        "--pred", str(FIXTURES / "pred_5.jsonl"), "--method", "fixture",
+                        "--dataset", "tiny", "--out", str(out)])
+        assert (out / "report.json").read_bytes() == (FIXTURES / "report_5.json").read_bytes()
+        assert (out / "report.txt").read_bytes() == (FIXTURES / "report_5.txt").read_bytes()
+
+    @pytest.mark.parametrize("edges", ["9,1", "5", "1,5,5,9"])
+    def test_unordered_or_single_edges_are_config_error(self, runner, tmp_path, edges):
+        out = tmp_path / "e"
+        result = runner.invoke(main, ["evaluate", "--gold", str(FIXTURES / "gold_5.jsonl"),
+                                      "--pred", str(FIXTURES / "pred_5.jsonl"),
+                                      "--edges", edges, "--out", str(out)])
+        assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+        assert result.output == ("config error: bin edges must be two or more, strictly "
+                                 f"ascending, got {edges!r}\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("edges,bad", [("1,nan,9", "nan"), ("1,5,inf", "inf"),
                                            ("-inf,5,9", "-inf"), ("1,5,1e999", "inf")])
     def test_non_finite_edges_are_config_error(self, runner, tmp_path, edges, bad):
@@ -370,12 +393,41 @@ class TestCompare:
         ('{"method": "m", "dataset": "d", "rmse_va": "1.0"}', "field 'rmse_va' must be a number"),
     ])
     def test_malformed_report_exit_code(self, runner, tmp_path, text, message):
+        self.check_refused(runner, tmp_path, text, message)
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "-1", "-0.5", "1e999",
+                                       "1" + "0" * 400],
+                             ids=["nan", "inf", "-inf", "-1", "-0.5", "1e999", "10**400"])
+    def test_non_finite_or_negative_rmse_exit_code(self, runner, tmp_path, value):
+        shown = repr(json.loads(value))
+        report = f'{{"method": "m", "dataset": "d", "rmse_va": {value}}}'
+        self.check_refused(runner, tmp_path, report,
+                           f"field 'rmse_va' must be finite and >= 0, got {shown}")
+
+    def check_refused(self, runner, tmp_path, text, message):
+        """compare of a good report and one holding `text` exits 2, naming the
+        second report, with no traceback and no output directory."""
         good = self.make_report(tmp_path / "a.json", "m1", "d", 1.0)
         bad = tmp_path / "b.json"
         bad.write_text(text)
         result = runner.invoke(main, ["compare", good, str(bad), "--out", str(tmp_path / "cmp")])
-        assert result.exit_code == 2
-        assert f"{bad}: {message}" in result.output
+        assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
+        assert result.output.startswith(f"data error: {bad}: {message}")
+        assert result.output.count("\n") == 1 and not (tmp_path / "cmp").exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["prepare", "--train-file", "{fixtures}/tiny_dataset.jsonl"],
+    ["llm-baseline", "--config", "{fixtures}/llm_config.yaml", "--instances",
+     "{fixtures}/llm_instances.jsonl", "--replay", "{fixtures}/replay_transcript.jsonl",
+     "--exemplar-pool", "{fixtures}/llm_instances.jsonl"],
+], ids=["prepare", "llm-baseline"])
+def test_negative_seed_is_usage_error(runner, tmp_path, command):
+    args = [a.format(fixtures=FIXTURES) for a in command]
+    result = runner.invoke(main, args + ["--seed", "-1", "--out", str(tmp_path / "o")])
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+    assert "Invalid value for '--seed': -1 is not in the range x>=0." in result.output
+    assert "Traceback" not in result.output and not (tmp_path / "o").exists()
 
 
 class TestPathArguments:

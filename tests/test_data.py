@@ -2,6 +2,7 @@ import dataclasses
 import inspect
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from dimasr.data import (
     read_predictions,
     split_dev_protocol,
     write_instances,
+    write_json,
 )
 from dimasr.llm import LlmRunConfig, ReplayTransport
 from dimasr.model import (CheckpointManifest, DimASRModel, ModelError, TinyEncoder,
@@ -333,6 +335,82 @@ class TestMalformedLines:
         ])
         with pytest.raises(DataError, match=r"data\.jsonl:2: sentence id must be non-empty"):
             parse_dataset(path)
+
+
+# "va" values of prediction lines: numbers Python's float reads, some in odd
+# spellings (" 5 ", "5_0", "+5"), and each way a value can be bad: a part that
+# is no number, not finite or out of range, a count of '#' other than one
+# (a two-'#' value beside a zero-'#' one holds the right number of parts
+# between them), and values that are not strings
+_good_va_parts = (st.integers(100, 900).map(lambda x: f"{x / 100:.2f}")
+                  | st.sampled_from([" 5 ", "5_0", "+5", "1e0"]))
+_good_va_values = st.builds("{}#{}".format, _good_va_parts, _good_va_parts)
+_va_parts = (_good_va_parts | st.floats(1, 9).map(repr)
+             | st.sampled_from(["5.", "\u0665", "nan", "inf", "-inf", "1e999", "0.5", "9.5", "10",
+                                "", "x", "5 5", "0x5"]))
+_va_values = (st.builds("{}#{}".format, _va_parts, _va_parts)
+              | st.sampled_from(["5#5#5", "5", "", "#", "##", "5#5#", "#5#5"])
+              | st.none() | st.booleans() | st.integers(-3, 12) | st.floats()
+              | st.lists(st.just("5#5"), max_size=1) | st.text(max_size=6))
+VA_COLUMNS = st.one_of(
+    st.lists(_good_va_values, max_size=8),
+    # good values around one value of any kind
+    st.builds(lambda head, value, tail: head + [value] + tail,
+              st.lists(_good_va_values, max_size=4), _va_values,
+              st.lists(_good_va_values, max_size=4)),
+    st.lists(_good_va_values | _va_values, max_size=8),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(column=VA_COLUMNS)
+@example(column=["5#5#5", "5"])
+@example(column=["5#5", "1#1#1", "3", "2#2"])
+@example(column=[])
+@example(column=["5#5", "nan#5"])
+@example(column=["5#-inf", "5#5"])
+def test_column_parse_matches_line_parse(tmp_path, column):
+    """read_predictions parses the "va" column at once. It accepts exactly the
+    files whose every value parse_va_string accepts, with the same numbers,
+    and otherwise raises parse_va_string's message for the first bad line."""
+    path = _write_lines(tmp_path / "pred.jsonl", [
+        dict(GOOD_PREDICTION, id=f"s{i}", va=va) for i, va in enumerate(column)])
+    want = []
+    for lineno, va in enumerate(column, start=1):
+        try:
+            pair = parse_va_string(va)
+        except DataError as exc:
+            with pytest.raises(DataError) as info:
+                read_predictions(path)
+            assert str(info.value) == f"{path}:{lineno}: {exc}"
+            return
+        want.append([pair.valence, pair.arousal])
+    index, rows = read_predictions(path)
+    assert rows.dtype == np.float64 and rows.shape == (len(column), 2)
+    assert rows.tolist() == want
+    assert index == {(f"s{i}", 0): i for i in range(len(column))}
+
+
+@pytest.mark.parametrize("later", ['{"id": "s3", "aspect_index": 0}', json.dumps(GOOD_PREDICTION),
+                                   '{"id": "s3",'], ids=["missing-field", "duplicate", "malformed"])
+def test_prediction_file_names_an_earlier_bad_va_first(tmp_path, later):
+    """A bad "V#A" is reported before any error on a later line, as a reader
+    that parses line by line reports it."""
+    path = tmp_path / "pred.jsonl"
+    path.write_text("\n".join([json.dumps(GOOD_PREDICTION),
+                               json.dumps(dict(GOOD_PREDICTION, id="s2", va="5#x")), later]) + "\n")
+    with pytest.raises(DataError, match=r"pred\.jsonl:2: non-numeric component in VA string '5#x'"):
+        read_predictions(path)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_write_json_refuses_non_finite_numbers(tmp_path, value):
+    path = tmp_path / "out.json"
+    message = f"{path}: Out of range float values are not JSON compliant"
+    with pytest.raises(DataError, match=re.escape(message)):
+        write_json(path, {"table": {"m": {"d": value}}})
+    assert not path.exists()
 
 
 # Every key some reader looks up, so generated objects reach past the

@@ -9,6 +9,7 @@ from dimasr.metrics import (
     MetricsError,
     error_distribution,
     full_report,
+    paired_from_files,
     per_instance_errors,
     rmse_per_dimension,
     rmse_va,
@@ -214,6 +215,34 @@ class TestScoreFiles:
         pred.write_text("\n".join(lines + [lines[0]]) + "\n")
         with pytest.raises(Exception, match="duplicate"):
             score_files(FIXTURES / "gold_5.jsonl", pred)
+
+
+class TestPairedFromFiles:
+    def test_arrays_in_gold_order(self, tmp_path):
+        pred = tmp_path / "pred.jsonl"
+        lines = (FIXTURES / "pred_5.jsonl").read_text().strip().split("\n")
+        pred.write_text("\n".join(reversed(lines)) + "\n")
+        preds, golds = paired_from_files(FIXTURES / "gold_5.jsonl", pred)
+        assert preds.dtype == golds.dtype == np.float64
+        assert preds.tolist() == [[5.0, 5.0], [8.0, 8.0], [2.33, 8.67], [6.1, 7.9], [3.6, 4.7]]
+        assert golds.tolist() == [[5.0, 5.0], [8.5, 8.25], [1.33, 8.67], [7.1, 6.9], [2.6, 5.7]]
+
+    def test_extra_prediction_named(self, tmp_path):
+        pred = tmp_path / "pred.jsonl"
+        extra = '{"id": "g9", "aspect": "x", "aspect_index": 2, "va": "5.00#5.00"}'
+        pred.write_text((FIXTURES / "pred_5.jsonl").read_text() + extra + "\n")
+        with pytest.raises(MetricsError,
+                           match=r"predictions for unknown instances: \[\('g9', 2\)\]"):
+            paired_from_files(FIXTURES / "gold_5.jsonl", pred)
+
+
+def test_arrays_score_as_pair_lists():
+    rng = np.random.default_rng(8)
+    preds, golds = random_pairs(rng, 60), random_pairs(rng, 60)
+    arrays = [np.array([(x.valence, x.arousal) for x in pairs]) for pairs in (preds, golds)]
+    assert full_report(*arrays) == full_report(preds, golds)
+    assert va_heatmap(*arrays) == va_heatmap(preds, golds)
+    assert per_instance_errors(*arrays).tolist() == per_instance_errors(preds, golds).tolist()
 
 
 @settings(max_examples=50)

@@ -298,6 +298,23 @@ class TestClipIntegration:
         assert kernels.global_grad_norm(grads.values()) <= 1.0 + 1e-6
 
 
+def test_validation_encoder_failure_is_trainer_error(monkeypatch):
+    """An encoder that fails only on validation's chunks fails fit with
+    TrainerError, as a failure in a step does."""
+    encode = TinyEncoder.encode_batch
+
+    def fail_above_16_rows(self, token_seqs):
+        if len(token_seqs) > 16:
+            raise ValueError("chunk too large")
+        return encode(self, token_seqs)
+
+    monkeypatch.setattr(TinyEncoder, "encode_batch", fail_above_16_rows)
+    fit_set, val_set = make_instances(20, seed=1), make_instances(40, seed=2, prefix="v")
+    with pytest.raises(TrainerError, match=r"encoder failed on batch \[\('v0', 0\), "
+                                           r"\('v1', 0\), \('v2', 0\)\]\.\.\.: chunk too large"):
+        fit(tiny_model(dim=8), fit_set, val_set, smoke_config(max_epochs=1, patience=1))
+
+
 def test_adamw_moves_params_toward_gradient_descent():
     params = {"p": np.array([1.0, -1.0])}
     opt = AdamW(params, TrainConfig(weight_decay=0.0))
