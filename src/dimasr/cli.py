@@ -116,6 +116,9 @@ def main():
 @handle_errors
 def prepare(train_file, dev_file, fmt, mode, ratio, holdout, seed, out):
     """Expand sentences into instances and write the chosen split."""
+    for name, value in (("ratio", ratio), ("holdout", holdout)):  # both reach the manifest
+        if not 0.0 < value < 1.0:
+            raise ConfigError(f"--{name} must be in (0, 1), got {value}")
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
     train_instances = data_mod.parse_dataset(train_file, format=fmt)

@@ -416,17 +416,27 @@ class TestCompare:
         assert result.output.count("\n") == 1 and not (tmp_path / "cmp").exists()
 
 
-@pytest.mark.parametrize("command", [
-    ["prepare", "--train-file", "{fixtures}/tiny_dataset.jsonl"],
-    ["llm-baseline", "--config", "{fixtures}/llm_config.yaml", "--instances",
-     "{fixtures}/llm_instances.jsonl", "--replay", "{fixtures}/replay_transcript.jsonl",
-     "--exemplar-pool", "{fixtures}/llm_instances.jsonl"],
-], ids=["prepare", "llm-baseline"])
-def test_negative_seed_is_usage_error(runner, tmp_path, command):
+PREPARE = ["prepare", "--train-file", "{fixtures}/tiny_dataset.jsonl"]
+
+
+@pytest.mark.parametrize("command,option,value,message", [
+    (PREPARE, "--seed", "-1", "Invalid value for '--seed': -1 is not in the range x>=0."),
+    (["llm-baseline", "--config", "{fixtures}/llm_config.yaml", "--instances",
+      "{fixtures}/llm_instances.jsonl", "--replay", "{fixtures}/replay_transcript.jsonl",
+      "--exemplar-pool", "{fixtures}/llm_instances.jsonl"], "--seed", "-1",
+     "Invalid value for '--seed': -1 is not in the range x>=0."),
+    # a ratio or holdout the split does not use still reaches the manifest
+    (PREPARE, "--holdout", "nan", "config error: --holdout must be in (0, 1), got nan"),
+    (PREPARE + ["--mode", "submission", "--dev-file", "{fixtures}/tiny_dataset.jsonl"], "--ratio",
+     "inf", "config error: --ratio must be in (0, 1), got inf"),
+    (PREPARE, "--ratio", "1.5", "config error: --ratio must be in (0, 1), got 1.5"),
+], ids=["prepare-seed", "llm-baseline-seed", "prepare-holdout", "prepare-ratio-submission",
+        "prepare-ratio"])
+def test_out_of_range_option_is_usage_error(runner, tmp_path, command, option, value, message):
     args = [a.format(fixtures=FIXTURES) for a in command]
-    result = runner.invoke(main, args + ["--seed", "-1", "--out", str(tmp_path / "o")])
+    result = runner.invoke(main, args + [option, value, "--out", str(tmp_path / "o")])
     assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
-    assert "Invalid value for '--seed': -1 is not in the range x>=0." in result.output
+    assert message in result.output
     assert "Traceback" not in result.output and not (tmp_path / "o").exists()
 
 
