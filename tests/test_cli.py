@@ -432,7 +432,7 @@ PREPARE = ["prepare", "--train-file", "{fixtures}/tiny_dataset.jsonl"]
     (PREPARE, "--ratio", "1.5", "config error: --ratio must be in (0, 1), got 1.5"),
 ], ids=["prepare-seed", "llm-baseline-seed", "prepare-holdout", "prepare-ratio-submission",
         "prepare-ratio"])
-def test_out_of_range_option_is_usage_error(runner, tmp_path, command, option, value, message):
+def test_out_of_range_option_exit_code(runner, tmp_path, command, option, value, message):
     args = [a.format(fixtures=FIXTURES) for a in command]
     result = runner.invoke(main, args + [option, value, "--out", str(tmp_path / "o")])
     assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
