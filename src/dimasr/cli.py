@@ -244,7 +244,7 @@ def _parse_edges(text: str):
 @main.command()
 @click.option("--gold", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--pred", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--gold-format", default="simple_jsonl", type=click.Choice(metrics_mod.GOLD_FORMATS),
+@click.option("--gold-format", default="simple_jsonl", type=click.Choice(data_mod.GOLD_FORMATS),
               help="A dataset format, or 'instances' for an instance file from prepare.")
 @click.option("--edges", default="1,3,5,7,9", show_default=True,
               help="Heatmap bin edges (used on both axes).")
@@ -279,7 +279,7 @@ def evaluate(gold, pred, gold_format, edges, method, dataset, out):
         for cell in row:
             rmse = "-" if cell["rmse"] is None else f"{cell['rmse']:.2f}"
             cells.append(f"{rmse}/{cell['count']}")
-        lines.append(f"  v[{grid.v_edges[i]:.0f},{grid.v_edges[i + 1]:.0f}): " + "  ".join(cells))
+        lines.append(f"  v[{grid.v_edges[i]:g},{grid.v_edges[i + 1]:g}): " + "  ".join(cells))
     text_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     click.echo("\n".join(lines))
     write_manifest(out_dir, "evaluate", {"edges": list(edge_list), "gold_format": gold_format},

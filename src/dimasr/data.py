@@ -10,10 +10,11 @@ Two dataset layouts are supported:
 * ``simple_jsonl``: one sentence object per line:
   ``{"id": ..., "text": ..., "aspects": [{"aspect": ..., "va": "V#A"|null}]}``
 
-Parsing yields one AspectInstance per given aspect, the unit both training and
-scoring use. Splits are deterministic functions of the id set, seed, and
-ratio, and always operate at sentence level so no text leaks between the two
-sides. read_jsonl, read_json, write_jsonl, write_json and the LLM transcript's
+Parsing yields one AspectInstance per given aspect, the unit training uses;
+read_gold gives scoring the same checked aspects as keys and one array of VA
+rows. Splits are deterministic functions of the id set, seed, and ratio, and
+always operate at sentence level so no text leaks between the two sides.
+read_jsonl, read_json, write_jsonl, write_json and the LLM transcript's
 line encoder are the only code that decodes or encodes these files, so every
 malformed file is a DataError naming the file (and, for JSON Lines, the line);
 from_mapping is the only reader of a config section or checkpoint manifest.
@@ -122,6 +123,14 @@ def read_jsonl(path) -> Iterator[tuple]:
                     line.encode("utf-8")
                 except UnicodeEncodeError:
                     raise DataError(f"{where}: not UTF-8 text") from None
+            if line.startswith("{"):
+                try:
+                    obj, end = _DECODER.raw_decode(line)
+                except (ValueError, RecursionError):
+                    end = 0  # json.loads below names the fault
+                if line[end:] in ("\n", ""):
+                    yield where, obj
+                    continue
             if not line.strip():
                 continue
             try:
@@ -144,6 +153,8 @@ def read_json(path):
         raise DataError(f"{path}: malformed JSON ({getattr(exc, 'msg', exc)})") from None
 
 
+# json.loads(s) calls this decoder's raw_decode once it has checked s
+_DECODER = json.JSONDecoder()
 # json.dumps(obj, ensure_ascii=False) builds an encoder like this one per call
 _ENCODER = json.JSONEncoder(ensure_ascii=False)
 
@@ -211,6 +222,7 @@ DEFAULT_FIELD_MAP = {
 }
 
 FORMATS = ("task_json", "simple_jsonl")
+GOLD_FORMATS = FORMATS + ("instances",)  # or an instance file as `dimasr prepare` writes
 
 
 def _pick(obj: Mapping, field: str, where: str):
@@ -220,41 +232,9 @@ def _pick(obj: Mapping, field: str, where: str):
     raise DataError(f"{where}: none of {DEFAULT_FIELD_MAP[field]} present")
 
 
-def _sentence_instances(obj, where: str) -> list:
-    """One AspectInstance per aspect of a sentence object, in aspect order."""
-    if not isinstance(obj, dict):
-        raise DataError(f"{where}: expected an object, got {type(obj).__name__}")
-    rid = str(_pick(obj, "id", where))
-    if not rid:
-        raise DataError(f"{where}: sentence id must be non-empty")
-    text = str(_pick(obj, "text", where))
-    raw_aspects = _pick(obj, "aspect_list", where)
-    if not isinstance(raw_aspects, list) or not raw_aspects:
-        raise DataError(f"{where}: record {rid!r} has an empty aspect list")
-    instances = []
-    for index, entry in enumerate(raw_aspects):
-        if isinstance(entry, dict):
-            aspect = _pick(entry, "aspect", where)
-            va = None
-            for key in DEFAULT_FIELD_MAP["va"]:
-                if key in entry and entry[key] is not None:
-                    va = entry[key]
-                    break
-        elif isinstance(entry, str):
-            aspect, va = entry, None
-        else:
-            raise DataError(f"{where}: record {rid!r} has a malformed aspect entry")
-        aspect = str(aspect)
-        if not aspect.strip():
-            raise DataError(f"{where}: record {rid!r}: aspect {index} must be non-empty")
-        gold = None if va is None else _line_va(str(va), where, rid)
-        instances.append(AspectInstance(rid, index, text, aspect, gold))
-    return instances
-
-
-def parse_dataset(path, format: str = "simple_jsonl") -> list:
-    """Parse a dataset file into one AspectInstance per given aspect, in file
-    order; aspect_index is the aspect's position within its sentence."""
+def _dataset_aspects(path, format: str) -> Iterator[tuple]:
+    """(where, sentence_id, aspect_index, text, aspect, va or None) for each aspect
+    of a dataset file once every check up to it has passed, `va` as a string."""
     if format not in FORMATS:
         raise DataError(f"unknown format {format!r}, expected one of {FORMATS}")
     if format == "simple_jsonl":
@@ -264,17 +244,44 @@ def parse_dataset(path, format: str = "simple_jsonl") -> list:
         if not isinstance(data, list):
             raise DataError(f"{path}: task_json file must contain a JSON array")
         objects = ((f"{path}[{idx}]", obj) for idx, obj in enumerate(data))
-
-    instances = []
     seen = set()
     for where, obj in objects:
-        sentence = _sentence_instances(obj, where)
-        rid = sentence[0].sentence_id
+        if not isinstance(obj, dict):
+            raise DataError(f"{where}: expected an object, got {type(obj).__name__}")
+        rid = str(_pick(obj, "id", where))
+        if not rid:
+            raise DataError(f"{where}: sentence id must be non-empty")
+        text = str(_pick(obj, "text", where))
+        raw_aspects = _pick(obj, "aspect_list", where)
+        if not isinstance(raw_aspects, list) or not raw_aspects:
+            raise DataError(f"{where}: record {rid!r} has an empty aspect list")
+        record = f"{where}: record {rid!r}"
+        for index, entry in enumerate(raw_aspects):
+            if isinstance(entry, dict):
+                aspect = _pick(entry, "aspect", where)
+                va = None
+                for key in DEFAULT_FIELD_MAP["va"]:
+                    if key in entry and entry[key] is not None:
+                        va = str(entry[key])
+                        break
+            elif isinstance(entry, str):
+                aspect, va = entry, None
+            else:
+                raise DataError(f"{record} has a malformed aspect entry")
+            aspect = str(aspect)
+            if not aspect.strip():
+                raise DataError(f"{record}: aspect {index} must be non-empty")
+            yield record, rid, index, text, aspect, va
         if rid in seen:
             raise DataError(f"{where}: duplicate sentence id {rid!r}")
         seen.add(rid)
-        instances.extend(sentence)
-    return instances
+
+
+def parse_dataset(path, format: str = "simple_jsonl") -> list:
+    """Parse a dataset file into one AspectInstance per given aspect, in file
+    order; aspect_index is the aspect's position within its sentence."""
+    return [AspectInstance(rid, index, text, aspect, None if va is None else _line_va(va, where))
+            for where, rid, index, text, aspect, va in _dataset_aspects(path, format)]
 
 
 def split_dev_protocol(instances, ratio: float = 0.8, seed: int = 42) -> DatasetSplit:
@@ -318,13 +325,11 @@ def _check_fields(obj: dict, where: str, names: Sequence[str]) -> None:
         raise DataError(f"{where}: aspect_index must be an integer, got {obj['aspect_index']!r}")
 
 
-def _line_va(s, where: str, rid=None) -> VAPair:
-    """parse_va_string for one line of a file; errors name the file and line,
-    and the sentence record `rid` when given."""
+def _line_va(s, where: str) -> VAPair:
+    """parse_va_string for one line of a file; errors name `where`."""
     try:
         return parse_va_string(s)
     except DataError as exc:
-        where = where if rid is None else f"{where}: record {rid!r}"
         raise DataError(f"{where}: {exc}") from None
 
 
@@ -338,8 +343,9 @@ def write_instances(instances, path) -> None:
     } for inst in instances))
 
 
-def read_instances(path):
-    instances = []
+def _instance_aspects(path) -> Iterator[tuple]:
+    """_dataset_aspects's tuples for an instance file; only an absent or null "va" is none."""
+    seen = set()
     for where, obj in read_jsonl(path):
         _check_fields(obj, where, ("id", "aspect_index", "text", "aspect"))
         for name in ("text", "aspect"):
@@ -347,11 +353,16 @@ def read_instances(path):
                 raise DataError(f"{where}: field {name!r} must be a string, got {obj[name]!r}")
         if not obj["aspect"].strip():
             raise DataError(f"{where}: field 'aspect' must be non-empty")
-        gold = _line_va(obj["va"], where) if obj.get("va") else None
-        instances.append(
-            AspectInstance(str(obj["id"]), obj["aspect_index"], obj["text"], obj["aspect"], gold)
-        )
-    return instances
+        key = (str(obj["id"]), obj["aspect_index"])
+        if key in seen:
+            raise DataError(f"{where}: duplicate instance {key}")
+        seen.add(key)
+        yield where, *key, obj["text"], obj["aspect"], obj.get("va")
+
+
+def read_instances(path) -> list:
+    return [AspectInstance(rid, index, text, aspect, None if va is None else _line_va(va, where))
+            for where, rid, index, text, aspect, va in _instance_aspects(path)]
 
 
 def write_predictions(instances, pairs: Sequence[VAPair], path) -> None:
@@ -406,6 +417,23 @@ def _va_rows(column: list, wheres: list) -> np.ndarray:
             if np.all((rows >= VA_MIN) & (rows <= VA_MAX)):  # false for NaN
                 return rows
     return np.array([(p.valence, p.arousal) for p in map(_line_va, column, wheres)]).reshape(-1, 2)
+
+
+def read_gold(path, format: str = "simple_jsonl") -> tuple:
+    """(keys, rows): each labeled aspect's (sentence_id, aspect_index) and float64 VA
+    row, in file order, with parse_dataset's (or read_instances's) checks."""
+    aspects = _instance_aspects(path) if format == "instances" else _dataset_aspects(path, format)
+    keys, column, wheres = [], [], []
+    try:
+        for where, rid, index, _, _, va in aspects:
+            if va is not None:
+                keys.append((rid, index))
+                column.append(va)
+                wheres.append(where)
+    except DataError:
+        _va_rows(column, wheres)  # a bad "V#A" on an earlier line is named first
+        raise
+    return keys, _va_rows(column, wheres)
 
 
 def read_predictions(path) -> tuple:

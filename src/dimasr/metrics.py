@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .data import FORMATS, parse_dataset, read_instances, read_predictions
+from .data import read_gold, read_predictions
 
 
 class MetricsError(ValueError):
@@ -24,8 +24,6 @@ class MetricsError(ValueError):
 
 
 DEFAULT_EDGES = (1.0, 3.0, 5.0, 7.0, 9.0)
-# a gold file is a dataset file, or an instance file as `dimasr prepare` writes
-GOLD_FORMATS = FORMATS + ("instances",)
 
 
 @dataclass
@@ -112,22 +110,20 @@ def paired_from_files(gold_path, pred_path, gold_format: str = "simple_jsonl"):
     Predictions are matched to gold instances on (sentence_id, aspect_index);
     every gold instance must have exactly one prediction.
     """
-    labeled = (read_instances(gold_path) if gold_format == "instances"
-               else parse_dataset(gold_path, format=gold_format))
-    instances = [i for i in labeled if i.gold is not None]
-    if not instances:
+    keys, golds = read_gold(gold_path, gold_format)
+    if not keys:
         raise MetricsError(f"{gold_path}: no gold-labeled instances")
     index, rows = read_predictions(pred_path)
 
-    picked = [index.get(i.key) for i in instances]
-    missing = [i.key for i, row in zip(instances, picked) if row is None]
+    picked = [index.get(key) for key in keys]
+    missing = [key for key, row in zip(keys, picked) if row is None]
     if missing:
         raise MetricsError(f"missing predictions for {len(missing)} instances: {missing[:10]}")
     if len(set(picked)) < len(index):  # a prediction that no gold instance picked
-        extra = set(index) - {i.key for i in instances}
+        extra = set(index) - set(keys)
         raise MetricsError(f"predictions for unknown instances: {sorted(extra)[:10]}")
 
-    return rows[picked], np.array([(i.gold.valence, i.gold.arousal) for i in instances])
+    return rows[picked], golds
 
 
 def score_files(gold_path, pred_path, gold_format: str = "simple_jsonl",

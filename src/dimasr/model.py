@@ -459,6 +459,21 @@ def load_checkpoint(path) -> DimASRModel:
             raise ModelError(f"(hidden_dim, max_len) must be the encoder's {built}")
     except (ConfigError, ModelError) as exc:
         raise DataError(f"{manifest_path}: {exc}") from None
-    with np.load(path / "params.npz") as npz:
-        model.load_state({k: npz[k] for k in npz.files})
+    params_path = path / "params.npz"
+    try:
+        with np.load(params_path) as npz:
+            arrays = {name: npz[name] for name in npz.files}
+        unknown = sorted(set(arrays) - set(model.parameters()))
+        if unknown:
+            raise ModelError(f"unknown parameters {unknown}")
+        for name, value in arrays.items():
+            if value.dtype != np.float64:
+                raise ModelError(f"parameter {name!r} must be float64, got {value.dtype}")
+            if not np.isfinite(value).all():
+                raise ModelError(f"parameter {name!r} holds NaN or infinity")
+        model.load_state(arrays)  # checks that no name is missing and each shape
+    # a damaged file raises BadZipFile, OSError, ValueError, NotImplementedError,
+    # RuntimeError, tokenize.TokenError, ...: each is the file's fault
+    except Exception as exc:
+        raise DataError(f"{params_path}: {exc}") from None
     return model

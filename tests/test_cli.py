@@ -215,6 +215,50 @@ class TestPredict:
         assert f"data error: {manifest}: malformed JSON" in result.output
 
 
+    @pytest.mark.parametrize("damage,message", [
+        ("absent", "No such file or directory"),
+        ("truncated", "File is not a zip file"),
+        ("flipped-byte", "Bad CRC-32"),
+        ("object-array", "Object arrays cannot be loaded when allow_pickle=False"),
+        ("nan", "parameter 'encoder.b' holds NaN or infinity"),
+        ("missing-name", "checkpoint missing parameter 'encoder.b'"),
+        ("extra-name", "unknown parameters ['extra']"),
+        ("int32", "parameter 'encoder.b' must be float64, got int32"),
+        ("other-shape", "parameter 'encoder.b' shape mismatch: checkpoint (8,) vs model (16,)"),
+    ])
+    def test_damaged_params_exit_code(self, runner, prepared, zero_head_checkpoint, tmp_path,
+                                      damage, message):
+        """Whatever is wrong with params.npz, predict exits 2 with one line
+        naming it, never a traceback."""
+        params = zero_head_checkpoint / "params.npz"
+        data = params.read_bytes()
+        with np.load(params) as npz:
+            arrays = {name: npz[name] for name in npz.files}
+        b = arrays["encoder.b"]
+        changes = {"nan": {"encoder.b": np.where(np.arange(b.size) == 3, np.nan, b)},
+                   "object-array": {"encoder.b": np.array([1.0, "x"], dtype=object)},
+                   "extra-name": {"extra": b}, "int32": {"encoder.b": b.astype(np.int32)},
+                   "other-shape": {"encoder.b": b[:8]}}
+        if damage == "absent":
+            params.unlink()
+        elif damage == "truncated":
+            params.write_bytes(data[:len(data) // 2])
+        elif damage == "flipped-byte":  # the middle of the embedding table's data
+            params.write_bytes(data[:len(data) // 2] + bytes([data[len(data) // 2] ^ 1])
+                               + data[len(data) // 2 + 1:])
+        else:
+            arrays.update(changes.get(damage, {}))
+            if damage == "missing-name":
+                del arrays["encoder.b"]
+            np.savez(params, **arrays)
+        result = runner.invoke(main, ["predict", "--checkpoint", str(zero_head_checkpoint),
+                                      "--instances", str(prepared / "eval.jsonl"),
+                                      "--out", str(tmp_path / "o")])
+        assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
+        assert result.output.startswith(f"data error: {params}: ") and message in result.output
+        assert result.output.count("\n") == 1 and "Traceback" not in result.output
+
+
 class TestEvaluate:
     def test_fixture_report(self, runner, tmp_path):
         out = tmp_path / "eval"
@@ -255,6 +299,43 @@ class TestEvaluate:
                         "--dataset", "tiny", "--out", str(out)])
         assert (out / "report.json").read_bytes() == (FIXTURES / "report_5.json").read_bytes()
         assert (out / "report.txt").read_bytes() == (FIXTURES / "report_5.txt").read_bytes()
+
+    def test_edges_label_rows_as_given(self, runner, tmp_path):
+        out = tmp_path / "eval"
+        run_ok(runner, ["evaluate", "--gold", str(FIXTURES / "gold_5.jsonl"),
+                        "--pred", str(FIXTURES / "pred_5.jsonl"), "--edges", "1,2.5,9",
+                        "--out", str(out)])
+        rows = (out / "report.txt").read_text().splitlines()[-2:]
+        assert [row.split(":")[0] for row in rows] == ["  v[1,2.5)", "  v[2.5,9)"]
+
+    def check_gold_refused(self, runner, tmp_path, lines, message):
+        """evaluate of an instance gold file holding `lines` against the
+        fixture's predictions exits 2 with `message`, one line, no traceback."""
+        gold = tmp_path / "gold.jsonl"
+        gold.write_text("\n".join(lines) + "\n")
+        result = runner.invoke(main, ["evaluate", "--gold", str(gold), "--gold-format", "instances",
+                                      "--pred", str(FIXTURES / "pred_5.jsonl"),
+                                      "--out", str(tmp_path / "e")])
+        assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
+        assert result.output == f"data error: {gold}{message}\n"
+        assert not (tmp_path / "e").exists()
+
+    def test_repeated_gold_instance_exit_code(self, runner, tmp_path):
+        lines = (FIXTURES / "gold_5_instances.jsonl").read_text().splitlines()
+        self.check_gold_refused(runner, tmp_path, lines + lines[:1],
+                                ":6: duplicate instance ('g1', 0)")
+
+    @pytest.mark.parametrize("va,message", [
+        ("", "expected exactly one '#' in VA string, got ''"),
+        (0, 'expected a "V#A" string, got 0'),
+        (False, 'expected a "V#A" string, got False'),
+        ([], 'expected a "V#A" string, got []'),
+    ], ids=["empty", "zero", "false", "empty-list"])
+    def test_empty_gold_va_exit_code(self, runner, tmp_path, va, message):
+        """Only an absent or null "va" marks an instance unlabeled."""
+        lines = (FIXTURES / "gold_5_instances.jsonl").read_text().splitlines()
+        lines[1] = json.dumps(dict(json.loads(lines[1]), va=va))
+        self.check_gold_refused(runner, tmp_path, lines, f":2: {message}")
 
     @pytest.mark.parametrize("edges", ["9,1", "5", "1,5,5,9"])
     def test_unordered_or_single_edges_are_config_error(self, runner, tmp_path, edges):

@@ -19,7 +19,9 @@ from dimasr.data import (
     parse_dataset,
     parse_va_string,
     read_instances,
+    read_gold,
     read_json,
+    read_jsonl,
     read_predictions,
     split_dev_protocol,
     write_instances,
@@ -439,6 +441,9 @@ READERS = {
     "parse_dataset-task_json": lambda path: parse_dataset(path, "task_json"),
     "read_instances": read_instances,
     "read_predictions": read_predictions,
+    "read_gold-simple_jsonl": lambda path: read_gold(path, "simple_jsonl"),
+    "read_gold-task_json": lambda path: read_gold(path, "task_json"),
+    "read_gold-instances": lambda path: read_gold(path, "instances"),
     "ReplayTransport": ReplayTransport,
     "read_json": read_json,
 }
@@ -465,6 +470,195 @@ def test_readers_raise_only_data_error(tmp_path, reader, content):
             assert isinstance(inst.text, str) and isinstance(inst.aspect, str)
             assert inst.aspect.strip()
             assert inst.gold is None or isinstance(inst.gold, VAPair)
+    if reader.startswith("read_gold"):
+        keys, rows = result
+        assert all(isinstance(rid, str) and type(index) is int for rid, index in keys)
+        assert rows.dtype == np.float64 and rows.shape == (len(keys), 2)
+
+
+def _mostly(good, bad):
+    """good, drawn four times in five, else bad; unlike `|`, this weight holds
+    however many alternatives bad has."""
+    return st.integers(0, 4).flatmap(lambda k: good if k else bad)
+
+
+def _decode_line_by_line(path) -> list:
+    """What read_jsonl gives when every line goes through json.loads: its
+    (where, object) pairs, or the message of the DataError it raises."""
+    pairs = []
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            where = f"{path}:{lineno}"
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError:
+                    return f"{where}: not UTF-8 text"
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except (ValueError, RecursionError) as exc:
+                return f"{where}: malformed JSON ({getattr(exc, 'msg', exc)})"
+            if not isinstance(obj, dict):
+                return f"{where}: expected an object, got {type(obj).__name__}"
+            pairs.append((where, obj))
+    return pairs
+
+
+# one line of a JSON Lines file: an object, written compactly or spaced, or a
+# value that is not one, between bits that json.loads skips as whitespace or
+# refuses (a BOM, a form feed, trailing data, a second object)
+_line_objects = (_json_objects.map(json.dumps)
+                 | _json_objects.map(lambda obj: json.dumps(obj, separators=(",", ":"))))
+_line_bodies = _line_objects | _json_values.map(json.dumps) | st.sampled_from([
+    "", "{", "{}", '{"a": }', "{'a': 1}", '{"a": NaN, "b": -Infinity}', '{"a": 1e999}',
+    '{"a": 1}{"b": 2}', '{"a": 1} {"b": 2}', "[1, 2]", "null", '"{}"', "{" * 5_000 + "}" * 5_000,
+    '{"a": ' + "[" * 5_000 + "]" * 5_000 + "}", '{"a": ' + "1" * 5_000 + "}", '{"a": "\\ud800"}'])
+_line_edges = st.sampled_from(["", " ", "\t", "\ufeff", "\x0c", "\x0b", "\u00a0", "  \t ", " x",
+                               ",", " {}"])
+_line_ends = st.sampled_from(["\n", "\r\n", "\r", "\x0c\n", " \n", "\t\r\n"])
+# lines: mostly one object and its newline, else any body between any edges,
+# or a blank line
+JSONL_FILES = st.lists(
+    _mostly(_line_objects.map(lambda line: line + "\n"),
+            st.tuples(_line_edges, _line_bodies, _line_edges, _line_ends).map("".join)
+            | st.sampled_from(["\x0c\n", "\n", " \r\n", "\x0c", "\ud800\n"])),
+    max_size=5,
+).map("".join)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=JSONL_FILES, last_newline=st.booleans())
+@example(text='{"a": 1}\n\x0c\n{"b": [1, {"c": null}]}', last_newline=False)
+@example(text='\ufeff{"a": 1}\n', last_newline=True)
+@example(text='{"a": 1}\r\n {"b": 2}\n{"c": 3} x\n', last_newline=True)
+@example(text='{"a": 1}\n{"b": ' + "[" * 5_000 + "]" * 5_000 + "}\n", last_newline=True)
+def test_read_jsonl_matches_json_loads_per_line(tmp_path, text, last_newline):
+    """read_jsonl decodes a line that is one object and its newline with one
+    scanner call. It accepts exactly the files that json.loads, line by line,
+    accepts, with equal objects, and otherwise names the same line with the
+    same message."""
+    path = tmp_path / "lines.jsonl"
+    path.write_text(text if last_newline else text.rstrip("\n"), encoding="utf-8",
+                    errors="surrogatepass", newline="")
+    want = _decode_line_by_line(path)
+    try:
+        got = list(read_jsonl(path))
+    except DataError as exc:
+        got = str(exc)
+    assert repr(got) == repr(want)  # repr, so that NaN equals NaN and 1 differs from 1.0
+
+
+def _gold_by_instances(path, fmt):
+    """The keys and VA rows of the labeled instances parse_dataset (or
+    read_instances) builds, or the message of the DataError it raises."""
+    try:
+        instances = read_instances(path) if fmt == "instances" else parse_dataset(path, fmt)
+    except DataError as exc:
+        return str(exc)
+    labeled = [inst for inst in instances if inst.gold is not None]
+    return [inst.key for inst in labeled], [[i.gold.valence, i.gold.arousal] for i in labeled]
+
+
+def _with_faults(records, faults):
+    """records with each (position, (op, key, value)) fault applied: "set"
+    gives the record's key a value, "drop" removes the key, "whole" replaces
+    the record by the value."""
+    records = list(records)
+    for position, (op, key, value) in faults:
+        i = position % max(len(records), 1)
+        if op == "whole" and records:
+            records[i] = value
+        elif records and isinstance(records[i], dict):
+            records[i] = dict(records[i], **{key: value}) if op == "set" else {
+                k: v for k, v in records[i].items() if k != key}
+    return records
+
+
+# gold files that are well formed, or hold a fault or two: a field set to a
+# bad or repeated value, a field dropped, a record that is another JSON value,
+# and now and then a bad "V#A" or aspect entry
+_gold_va = _mostly(_good_va_values | st.none(), _va_values)
+_dataset_entries = _mostly(
+    st.builds(dict, aspect=st.sampled_from(["food", "staff"]), va=_gold_va)
+    | st.builds(dict, Aspect=st.sampled_from(["food", "battery"]), VA=_gold_va)
+    | st.builds(dict, aspect=st.just("x"), VA=st.none(), va=_gold_va) | st.just("NULL"),
+    st.builds(dict, aspect=st.sampled_from([" ", 5])) | st.sampled_from([" ", 5, None, {}]))
+_sentences = st.lists(
+    st.lists(_dataset_entries, min_size=1, max_size=3), max_size=5,
+).map(lambda lists: [{"id": f"s{i}", "text": "t", "aspects": a} for i, a in enumerate(lists)])
+_sentence_faults = st.tuples(
+    st.just("set"), st.sampled_from(["id", "text", "aspects"]),
+    st.sampled_from(["", "s0", None, [], 5])) | st.tuples(
+    st.just("drop"), st.sampled_from(["id", "text", "aspects"]), st.none()) | st.tuples(
+    st.just("whole"), st.none(), _json_values)
+_instance_lines = st.lists(st.builds(dict, text=st.just("t"), aspect=st.just("food"), va=_gold_va),
+                           max_size=6).map(lambda lines: [
+    dict(line, id=f"s{i // 2}", aspect_index=i % 2) for i, line in enumerate(lines)])
+_instance_faults = st.tuples(
+    st.just("set"), st.sampled_from(["id", "aspect_index", "text", "aspect", "va"]),
+    st.sampled_from(["s0", 0, 1.5, True, " ", 3, "", None, "5#x"])) | st.tuples(
+    st.just("drop"), st.sampled_from(["id", "aspect_index", "text", "aspect", "va"]),
+    st.none()) | st.tuples(st.just("whole"), st.none(), _json_values)
+_faults = lambda fault: st.lists(st.tuples(st.integers(0, 5), fault), max_size=2)
+GOLD_FILES = st.one_of(
+    st.tuples(st.just("simple_jsonl"), st.builds(_with_faults, _sentences, _faults(_sentence_faults))),
+    st.tuples(st.just("task_json"), st.builds(_with_faults, _sentences, _faults(_sentence_faults))),
+    st.tuples(st.just("instances"),
+              st.builds(_with_faults, _instance_lines, _faults(_instance_faults))),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(gold=GOLD_FILES)
+@example(gold=("simple_jsonl", [{"id": "a", "text": "t", "aspects": [
+    {"aspect": "x", "va": "5#5"}, "y", {"Aspect": "z", "VA": None, "va": "2#3"}]}]))
+@example(gold=("instances", [dict(GOOD_INSTANCE, id="a"), dict(GOOD_INSTANCE, id="b", va=None)]))
+@example(gold=("task_json", [{"id": "a", "text": "t", "aspects": [{"aspect": "x", "va": "5#5"}]},
+                            {"id": "a", "text": "t", "aspects": [{"aspect": "x", "va": "5#x"}]}]))
+@example(gold=("simple_jsonl", [{"id": "a", "text": "t", "aspects": ["x"]}] * 2))
+@example(gold=("instances", [GOOD_INSTANCE, dict(GOOD_INSTANCE, va=None)]))
+def test_gold_column_matches_instances(tmp_path, gold):
+    """read_gold gives the keys and VA rows of the labeled instances that
+    parse_dataset or read_instances builds from a valid gold file, and the
+    same first error from an invalid one."""
+    fmt, records = gold
+    path = tmp_path / "gold"
+    path.write_text(json.dumps(records) if fmt == "task_json"
+                    else "".join(json.dumps(r) + "\n" for r in records))
+    want = _gold_by_instances(path, fmt)
+    try:
+        keys, rows = read_gold(path, fmt)
+    except DataError as exc:
+        assert str(exc) == want
+    else:
+        assert rows.dtype == np.float64 and (keys, rows.tolist()) == want
+
+
+@pytest.mark.parametrize("fmt", ["simple_jsonl", "task_json", "instances"])
+def test_gold_names_an_earlier_bad_va_first(tmp_path, fmt):
+    """A bad "V#A" in the second record is named before a missing field in the
+    fifth, as a reader that checks each value as it goes names it."""
+    if fmt == "instances":
+        records = [dict(GOOD_INSTANCE, id=f"s{i}") for i in range(5)]
+        records[4].pop("aspect_index")
+    else:
+        records = [{"id": f"s{i}", "text": "t", "aspects": [{"aspect": "x", "va": "5#5"}]}
+                   for i in range(5)]
+        records[4].pop("text")
+    records[1] = dict(records[1], va="5#x") if fmt == "instances" else dict(
+        records[1], aspects=[{"aspect": "x", "va": "5#x"}])
+    path = tmp_path / "gold"
+    path.write_text(json.dumps(records) if fmt == "task_json"
+                    else "".join(json.dumps(r) + "\n" for r in records))
+    where = {"simple_jsonl": f"{path}:2: record 's1'", "task_json": f"{path}[1]: record 's1'",
+             "instances": f"{path}:2"}[fmt]
+    with pytest.raises(DataError) as info:
+        read_gold(path, fmt)
+    assert str(info.value) == f"{where}: non-numeric component in VA string '5#x'"
 
 
 # Values yaml.safe_load or json.loads can return. Integers stay small because a
@@ -535,8 +729,9 @@ def test_settings_raise_only_config_error(section, data):
 @given(manifest=MANIFESTS)
 def test_checkpoint_manifest_raises_only_data_error(tmp_path, manifest):
     """Whatever a checkpoint's manifest.json holds, load_checkpoint returns a
-    model or raises DataError naming the file; a ModelError is kept for a
-    format version it does not read and for parameters that do not match."""
+    model or raises DataError naming the manifest, or params.npz when the
+    parameters do not match the model; a ModelError is kept for a format
+    version it does not read."""
     checkpoint = tmp_path / "ckpt"
     if not checkpoint.exists():
         save_checkpoint(DimASRModel(TinyEncoder(dim=8, vocab_size=64), seed=1), checkpoint)
@@ -544,9 +739,10 @@ def test_checkpoint_manifest_raises_only_data_error(tmp_path, manifest):
     try:
         load_checkpoint(checkpoint)
     except DataError as exc:
-        assert str(exc).startswith(f"{checkpoint / 'manifest.json'}: ")
+        assert str(exc).startswith((f"{checkpoint / 'manifest.json'}: ",
+                                    f"{checkpoint / 'params.npz'}: "))
     except ModelError as exc:
-        assert "format version" in str(exc) or "parameter" in str(exc)
+        assert "format version" in str(exc)
 
 
 def test_good_manifest_is_what_save_checkpoint_writes(tmp_path):
