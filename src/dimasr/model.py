@@ -461,7 +461,8 @@ def load_checkpoint(path) -> DimASRModel:
         raise DataError(f"{manifest_path}: {exc}") from None
     params_path = path / "params.npz"
     try:
-        with np.load(params_path) as npz:
+        # np.load leaks the file it opened when the zip is damaged; this one is closed
+        with open(params_path, "rb") as fh, np.load(fh) as npz:
             arrays = {name: npz[name] for name in npz.files}
         unknown = sorted(set(arrays) - set(model.parameters()))
         if unknown:
