@@ -330,7 +330,7 @@ def llm_baseline(config_path, instances_path, replay, exemplar_pool, seed, out):
                    {"config_file": str(config_path), "replay": bool(replay),
                     "model": run_cfg.model, "temperature": run_cfg.temperature},
                    [config_path, instances_path] + ([replay] if replay else []),
-                   [pred_path, transcript_path], seed)
+                   [pred_path, transcript_path, out_dir / data_mod.PROMPT_FILE], seed)
 
 
 def _read_report(path) -> dict:

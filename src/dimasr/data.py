@@ -14,10 +14,10 @@ Parsing yields one AspectInstance per given aspect, the unit training uses;
 read_gold gives scoring the same checked aspects as keys and one array of VA
 rows. Splits are deterministic functions of the id set, seed, and ratio, and
 always operate at sentence level so no text leaks between the two sides.
-read_jsonl, read_json, write_jsonl, write_json and the LLM transcript's
-line encoder are the only code that decodes or encodes these files, so every
-malformed file is a DataError naming the file (and, for JSON Lines, the line);
-from_mapping is the only reader of a config section or checkpoint manifest.
+read_jsonl, read_json, write_jsonl and write_json are the only code that
+decodes or encodes these files, so every malformed file is a DataError naming
+the file (and, for JSON Lines, the line); from_mapping is the only reader of
+a config section or checkpoint manifest.
 """
 
 from __future__ import annotations
@@ -29,8 +29,7 @@ from contextlib import suppress
 from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
-from operator import is_
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -159,12 +158,11 @@ _DECODER = json.JSONDecoder()
 _ENCODER = json.JSONEncoder(ensure_ascii=False)
 
 
-def write_jsonl(path, objs: Iterable[dict], encode: Callable[[dict], str] = _ENCODER.encode) -> None:
-    """Write each object as one line of JSON, non-ASCII text kept as is;
-    `encode` gives an object's line, without the newline."""
+def write_jsonl(path, objs: Iterable[dict]) -> None:
+    """Write each object as one line of JSON, non-ASCII text kept as is."""
     with Path(path).open("w", encoding="utf-8") as fh:
         for obj in objs:
-            fh.write(encode(obj) + "\n")
+            fh.write(_ENCODER.encode(obj) + "\n")
 
 
 def write_json(path, obj) -> None:
@@ -377,34 +375,14 @@ def write_predictions(instances, pairs: Sequence[VAPair], path) -> None:
     } for inst, pair in zip(instances, pairs)))
 
 
-def transcript_line_encoder(prefix: Sequence[dict]) -> Callable[[dict], str]:
-    """The line of one LLM transcript record, without the newline, byte for byte
-    json.dumps(record, ensure_ascii=False), for records with string keys whose
-    "messages" list begins with the very objects of `prefix`, the messages every
-    prompt of a run shares. The prefix is encoded here, once; a record's line is
-    built from that text and the encoding of the record's other values."""
-    encode = _ENCODER.encode
-    n = len(prefix)
-    prefix_items = encode(prefix)[1:-1]  # the prefix's items without the brackets
-
-    def messages_json(messages) -> str:
-        if len(messages) < n or not all(map(is_, messages, prefix)):
-            raise ValueError("a transcript record's messages do not begin with the shared prefix")
-        items = encode(messages[n:])[1:-1]
-        return "[" + ", ".join(filter(None, (prefix_items, items))) + "]"
-
-    def line(record: dict) -> str:
-        return "{" + ", ".join(
-            encode(name) + ": " + (messages_json(value) if name == "messages" else encode(value))
-            for name, value in record.items()) + "}"
-
-    return line
+PROMPT_FILE = "prompt.json"  # an LLM run's shared prompt prefix, beside its transcript
 
 
 def write_transcript(prefix: Sequence[dict], records: Iterable[dict], path) -> None:
-    """One line per LLM transcript record, each the standard JSON encoding of
-    the record (see transcript_line_encoder for the prefix they share)."""
-    write_jsonl(path, records, transcript_line_encoder(prefix))
+    """An LLM run's transcript: the messages every prompt begins with, once, as
+    PROMPT_FILE beside `path`, and one line per record at `path`."""
+    write_json(Path(path).with_name(PROMPT_FILE), prefix)
+    write_jsonl(path, records)
 
 
 def _va_rows(column: list, wheres: list) -> np.ndarray:

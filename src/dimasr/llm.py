@@ -208,10 +208,11 @@ def run_baseline(
     """One prediction per instance, in input order. Returns (pairs, log records).
 
     Parse/transport failures are retried up to config.max_retries, then the
-    FALLBACK pair is recorded with status "fallback". The full transcript is
-    written to `transcript_out` (a path) when given, enabling later replay.
-    The system message and exemplar turns are built once per run, and every
-    record's messages share them.
+    FALLBACK pair is recorded with status "fallback". The system message and
+    exemplar turns, the prefix every prompt shares, are built once per run, and
+    a record's messages hold only its query turn. When `transcript_out` (a path)
+    is given, the records are written there and the prefix beside it
+    (data.write_transcript), enabling later replay.
     """
     prefix = build_prefix(exemplars)
     predictions = []
@@ -236,7 +237,7 @@ def run_baseline(
         log.append(
             {
                 "key": key,
-                "messages": messages,
+                "messages": messages[len(prefix):],
                 "response": raw,
                 "parsed": format_va_string(pair),
                 "status": status,

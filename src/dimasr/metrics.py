@@ -86,7 +86,8 @@ def va_heatmap(preds, golds, v_edges=DEFAULT_EDGES, a_edges=DEFAULT_EDGES) -> He
             raise MetricsError(f"bin edges must be strictly ascending, got {edges}")
     p, g = _as_arrays(preds, golds)
     sq = np.sum((p - g) ** 2, axis=1)
-    # left-closed right-open bins; values at or past the last edge go to the last bin
+    # left-closed right-open bins, clamped: a value below the first edge goes to the
+    # first bin and one at or past the last edge to the last, so the counts sum to n
     vi, ai = (np.clip(np.searchsorted(edges, g[:, k], side="right") - 1, 0, len(edges) - 2)
               for k, edges in enumerate((v_edges, a_edges)))
     members = [[sq[(vi == i) & (ai == j)] for j in range(len(a_edges) - 1)]

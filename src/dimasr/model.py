@@ -442,13 +442,14 @@ def load_checkpoint(path) -> DimASRModel:
     """The model a checkpoint directory holds; a malformed manifest is a DataError naming it."""
     path = Path(path)
     manifest_path = path / "manifest.json"
-    if not manifest_path.exists():
-        raise ModelError(f"no checkpoint manifest at {manifest_path}")
+    if not manifest_path.is_file():
+        raise DataError(f"{manifest_path}: not found; not a checkpoint directory")
     manifest = read_json(manifest_path)
-    if isinstance(manifest, dict) and manifest.get("format_version") != CHECKPOINT_VERSION:
-        raise ModelError(f"checkpoint format version {manifest.get('format_version')} "
-                         f"!= supported {CHECKPOINT_VERSION}")
     try:
+        # the manifest.json of another command (prepare, train, ...) has no format_version
+        if isinstance(manifest, dict) and manifest.get("format_version") != CHECKPOINT_VERSION:
+            raise ModelError(f"checkpoint format version {manifest.get('format_version')!r} "
+                             f"!= supported {CHECKPOINT_VERSION}")
         manifest = from_mapping(CheckpointManifest, manifest, "checkpoint")
         model = DimASRModel(make_encoder(manifest.encoder), seed=manifest.seed,
                             input_dropout_rate=manifest.input_dropout_rate,

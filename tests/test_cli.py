@@ -1,6 +1,7 @@
 import ast
 import contextlib
 import dataclasses
+import hashlib
 import json
 import re
 import shlex
@@ -16,6 +17,7 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
+from dimasr import llm as llm_mod
 from dimasr.cli import main
 from dimasr.data import read_instances, write_instances, write_predictions
 from dimasr.model import (DimASRModel, HFEncoder, TinyEncoder, build_input, load_checkpoint,
@@ -402,6 +404,38 @@ class TestLlmBaseline:
         assert [json.loads(l)["va"] for l in lines] == ["7.10#6.30", "1.50#8.20", "5.00#5.00"]
         assert (out / "transcript.jsonl").exists()
 
+    @pytest.mark.parametrize("pool", [False, True], ids=["default", "exemplar-pool"])
+    def test_prompt_file_holds_the_prefix_sent(self, runner, prepared, tmp_path, monkeypatch,
+                                               pool):
+        """prompt.json + a transcript record's messages is what was sent for its
+        key, and the manifest lists and checksums prompt.json."""
+        sent = {}
+        complete = llm_mod.ReplayTransport.complete
+
+        def recording(self, key, messages, config):
+            sent.setdefault(key, []).append(json.loads(json.dumps(messages)))
+            return complete(self, key, messages, config)
+
+        monkeypatch.setattr(llm_mod.ReplayTransport, "complete", recording)
+        out = tmp_path / "llm"
+        pool_args = ["--exemplar-pool", str(prepared / "train.jsonl"), "--seed", "3"] if pool else []
+        run_ok(runner, ["llm-baseline", "--config", str(FIXTURES / "llm_config.yaml"),
+                        "--instances", str(FIXTURES / "llm_instances.jsonl"),
+                        "--replay", str(FIXTURES / "replay_transcript.jsonl"),
+                        "--out", str(out)] + pool_args)
+        prompt = json.loads((out / "prompt.json").read_text(encoding="utf-8"))
+        exemplars = (llm_mod.sample_exemplars(read_instances(prepared / "train.jsonl"), seed=3)
+                     if pool else llm_mod.DEFAULT_EXEMPLARS)
+        assert prompt == llm_mod.build_prefix(exemplars)
+        records = [json.loads(line)
+                   for line in (out / "transcript.jsonl").read_text(encoding="utf-8").splitlines()]
+        assert {r["key"]: [prompt + r["messages"]] * len(sent[r["key"]]) for r in records} == sent
+        assert [len(sent[r["key"]]) for r in records] == [1, 1, 2]  # the third falls back
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["outputs"][-1] == str(out / "prompt.json")
+        assert manifest["checksums"]["prompt.json"] == hashlib.sha256(
+            (out / "prompt.json").read_bytes()).hexdigest()
+
     def test_malformed_transcript_exit_code(self, runner, tmp_path):
         transcript = tmp_path / "t.jsonl"
         transcript.write_text('{"key": "a::0"}\n')
@@ -556,9 +590,10 @@ TINY_MANIFEST = {
 
 class TestMalformedSettings:
     """Every config section and the config's top level are closed and typed: a
-    bad key or value is a config error (exit 1) and a bad checkpoint manifest a
-    data error (exit 2), each one line naming the key, never a traceback. A
-    missing optional package is a runtime failure (exit 3)."""
+    bad key or value is a config error (exit 1) and a bad, foreign or absent
+    checkpoint manifest a data error (exit 2), each one line naming the key or
+    the manifest, never a traceback. A missing optional package is a runtime
+    failure (exit 3)."""
 
     @pytest.mark.parametrize("command,probe,code,message", [
         ("train", ("encoder", "dimension", 8), 1,
@@ -623,6 +658,11 @@ class TestMalformedSettings:
          "(hidden_dim, max_len) must be the encoder's (8, 256)"),
         ("predict", json.dumps(dict(TINY_MANIFEST, max_len=7)), 2,
          "(hidden_dim, max_len) must be the encoder's (8, 256)"),
+        ("predict", json.dumps(dict(TINY_MANIFEST, format_version=2)), 2,
+         "checkpoint format version 2 != supported 1"),
+        ("predict", json.dumps({"command": "prepare", "config": {}, "seed": 42}), 2,
+         "checkpoint format version None != supported 1"),
+        ("predict", None, 2, "not found; not a checkpoint directory"),
     ], ids=["encoder-unknown", "encoder-float-dim", "encoder-string-dim", "encoder-not-mapping",
             "encoder-hf-without-extra", "encoder-max-len-three", "encoder-hf-max-len-two",
             "train-bool-epochs", "train-string-batch", "train-string-lr", "train-not-mapping",
@@ -633,7 +673,8 @@ class TestMalformedSettings:
             "llm-not-mapping", "llm-string-temperature", "llm-negative-retries",
             "llm-zero-timeout", "llm-negative-timeout", "llm-infinite-timeout", "llm-nan-temperature",
             "n-exemplars-string", "n-exemplars-negative", "manifest-list", "manifest-missing-keys",
-            "manifest-hf-without-extra", "manifest-other-hidden-dim", "manifest-other-max-len"])
+            "manifest-hf-without-extra", "manifest-other-hidden-dim", "manifest-other-max-len",
+            "manifest-other-version", "manifest-of-prepare", "manifest-absent"])
     def test_probe(self, runner, prepared, tmp_path, monkeypatch, command, probe, code, message):
         # `import torch` raises ImportError, so an `hf` encoder lacks its optional packages
         monkeypatch.setitem(sys.modules, "torch", None)
@@ -658,7 +699,10 @@ class TestMalformedSettings:
         else:
             checkpoint = tmp_path / "ckpt"
             save_checkpoint(DimASRModel(TinyEncoder(dim=8, seed=0), seed=1), checkpoint)
-            (checkpoint / "manifest.json").write_text(probe)
+            if probe is None:
+                (checkpoint / "manifest.json").unlink()
+            else:
+                (checkpoint / "manifest.json").write_text(probe)
             args = ["predict", "--checkpoint", str(checkpoint),
                     "--instances", str(prepared / "eval.jsonl")]
             if code == 2:

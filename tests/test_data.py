@@ -28,7 +28,7 @@ from dimasr.data import (
     write_json,
 )
 from dimasr.llm import LlmRunConfig, ReplayTransport
-from dimasr.model import (CheckpointManifest, DimASRModel, ModelError, TinyEncoder,
+from dimasr.model import (CheckpointManifest, DimASRModel, TinyEncoder,
                           load_checkpoint, make_encoder, save_checkpoint)
 from dimasr.trainer import TrainConfig
 from .conftest import FIXTURES, make_instances
@@ -450,7 +450,7 @@ READERS = {
 
 
 @pytest.mark.parametrize("reader", sorted(READERS))
-@settings(max_examples=60, deadline=None,
+@settings(max_examples=60, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(content=FILE_CONTENTS)
 @example(content=b'{"id": "s\xff"}\n')
@@ -711,7 +711,7 @@ SETTINGS = {
 
 
 @pytest.mark.parametrize("section", sorted(SETTINGS))
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_settings_raise_only_config_error(section, data):
     """Whatever a config section holds, reading it returns its object or raises
@@ -724,14 +724,13 @@ def test_settings_raise_only_config_error(section, data):
         pass
 
 
-@settings(max_examples=60, deadline=None,
+@settings(max_examples=60, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(manifest=MANIFESTS)
 def test_checkpoint_manifest_raises_only_data_error(tmp_path, manifest):
     """Whatever a checkpoint's manifest.json holds, load_checkpoint returns a
     model or raises DataError naming the manifest, or params.npz when the
-    parameters do not match the model; a ModelError is kept for a format
-    version it does not read."""
+    parameters do not match the model."""
     checkpoint = tmp_path / "ckpt"
     if not checkpoint.exists():
         save_checkpoint(DimASRModel(TinyEncoder(dim=8, vocab_size=64), seed=1), checkpoint)
@@ -741,8 +740,6 @@ def test_checkpoint_manifest_raises_only_data_error(tmp_path, manifest):
     except DataError as exc:
         assert str(exc).startswith((f"{checkpoint / 'manifest.json'}: ",
                                     f"{checkpoint / 'params.npz'}: "))
-    except ModelError as exc:
-        assert "format version" in str(exc)
 
 
 def test_good_manifest_is_what_save_checkpoint_writes(tmp_path):

@@ -1,11 +1,12 @@
+import copy
 import json
 
 import pytest
 import requests
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from dimasr import llm
-from dimasr.data import AspectInstance, DataError, VAPair, read_instances, transcript_line_encoder
+from dimasr.data import AspectInstance, DataError, VAPair, read_instances
 from dimasr.llm import (
     DEFAULT_EXEMPLARS,
     DEFAULT_SYSTEM_PROMPT,
@@ -16,6 +17,7 @@ from dimasr.llm import (
     ReplayTransport,
     build_prefix,
     build_prompt,
+    instance_key,
     parse_llm_output,
     run_baseline,
     sample_exemplars,
@@ -156,36 +158,67 @@ AS_EXEMPLARS = st.builds(
     st.builds(VAPair, st.floats(1.0, 9.0), st.floats(1.0, 9.0)))
 
 
+class RecordingTransport:
+    """Answers a key's i-th request with the i-th of its answers (the last once
+    they run out, as replay does): a response, or None for a failed request.
+    Keeps a copy of the messages of every request, by key."""
+
+    def __init__(self, answers):
+        self.answers = answers
+        self.sent = {}
+
+    def complete(self, key, messages, config):
+        calls = self.sent.setdefault(key, [])
+        calls.append(copy.deepcopy(messages))
+        answer = self.answers[key][min(len(calls), len(self.answers[key])) - 1]
+        if answer is None:
+            raise LlmError("connection reset")
+        return answer
+
+
+def check_transcript(path, log, sent, exemplars):
+    """The transcript at `path` holds the run's log, each record as the standard
+    JSON encoding of it, and prompt.json beside it holds the run's prefix:
+    prompt.json + a record's messages is what each request for its key sent."""
+    assert path.read_bytes() == "".join(
+        json.dumps(r, ensure_ascii=False) + "\n" for r in log).encode("utf-8")
+    prompt = json.loads((path.parent / "prompt.json").read_text(encoding="utf-8"))
+    assert prompt == build_prefix(exemplars)
+    assert sorted(sent) == sorted(r["key"] for r in log)
+    for record in log:
+        assert set(record) == {"key", "messages", "response", "parsed", "status"}
+        assert [m["role"] for m in record["messages"]] == ["user"]  # the query turn only
+        assert sent[record["key"]] and all(messages == prompt + record["messages"]
+                                           for messages in sent[record["key"]])
+
+
+# a key's answers with max_retries=1, each with the requests and the status it
+# gives: a parseable response at once, one after a failed request or after an
+# unparseable response, and a fallback after two of either
+ANSWERS = st.sampled_from([(["7.00#6.00"], 1, "ok"), ([None, "3.00#4.00"], 2, "ok"),
+                           (["no idea", "2#8"], 2, "ok"), (["no idea"], 2, "fallback"),
+                           ([None], 2, "fallback")])
+
+
 class TestTranscript:
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(exemplars=st.one_of(st.just(DEFAULT_EXEMPLARS), st.lists(AS_EXEMPLARS, max_size=4)),
-           queries=st.lists(st.tuples(TRICKY_TEXT, TRICKY_TEXT, TRICKY_TEXT), max_size=4),
-           status=st.sampled_from(["ok", "fallback"]))
-    def test_line_is_standard_json_encoding(self, exemplars, queries, status):
-        # the default exemplars and sampled ones (--exemplar-pool) both
-        prefix = build_prefix(exemplars)
-        line = transcript_line_encoder(prefix)
-        for text, aspect, response in queries:
-            record = {"key": f"{text}::0",
-                      "messages": build_prompt(AspectInstance(text, 0, text, aspect), prefix),
-                      "response": response, "parsed": "5.00#5.00", "status": status}
-            assert line(record) == json.dumps(record, ensure_ascii=False)
-
-    @given(prefix=st.lists(st.dictionaries(TRICKY_TEXT, TRICKY_TEXT, max_size=2), max_size=3),
-           tail=st.lists(st.dictionaries(TRICKY_TEXT, TRICKY_TEXT, max_size=2), max_size=2),
-           rest=st.dictionaries(TRICKY_TEXT.filter(lambda k: k != "messages"),
-                                st.one_of(st.none(), st.booleans(), st.integers(), TRICKY_TEXT),
-                                max_size=3))
-    def test_line_of_any_prefix_and_fields(self, prefix, tail, rest):
-        record = {**rest, "messages": prefix + tail}
-        assert transcript_line_encoder(prefix)(record) == json.dumps(record, ensure_ascii=False)
-
-    def test_messages_must_begin_with_the_prefix_objects(self):
-        prefix = build_prefix()
-        line = transcript_line_encoder(prefix)
-        copied = [dict(m) for m in prefix]  # equal, but not the shared objects
-        for messages in (copied, prefix[:-1], prefix[1:]):
-            with pytest.raises(ValueError, match="shared prefix"):
-                line({"key": "k", "messages": messages})
+           queries=st.lists(st.tuples(TRICKY_TEXT, TRICKY_TEXT, ANSWERS), max_size=4))
+    def test_prompt_and_query_turn_are_what_was_sent(self, tmp_path, exemplars, queries):
+        # the default exemplars and sampled ones (--exemplar-pool) both; the
+        # first instance succeeds, so the run never fails as a whole
+        instances = [AspectInstance("s", 0, "fine", "x")] + [
+            AspectInstance(f"{i}:{text}", 0, text, aspect) for i, (text, aspect, _) in enumerate(queries)]
+        answers = [(["5.00#5.00"], 1, "ok")] + [answer for _, _, answer in queries]
+        transport = RecordingTransport({instance_key(inst): responses
+                                        for inst, (responses, _, _) in zip(instances, answers)})
+        out = tmp_path / "transcript.jsonl"
+        _, log = run_baseline(instances, LlmRunConfig(max_retries=1), transport,
+                              exemplars=exemplars, transcript_out=out)
+        check_transcript(out, log, transport.sent, exemplars)
+        assert [(len(transport.sent[r["key"]]), r["status"]) for r in log] == [
+            (requests, status) for _, requests, status in answers]
 
     @pytest.mark.parametrize("sampled", [False, True], ids=["default", "exemplar-pool"])
     def test_run_writes_full_records_byte_for_byte(self, tmp_path, sampled):
@@ -193,13 +226,14 @@ class TestTranscript:
         exemplars = DEFAULT_EXEMPLARS
         if sampled:
             exemplars = sample_exemplars(make_instances(12, seed=3), 6, seed=5)
+        transport = RecordingTransport(
+            ReplayTransport(FIXTURES / "replay_transcript.jsonl").responses)
         out = tmp_path / "transcript.jsonl"
-        _, log = run_baseline(instances, LlmRunConfig(max_retries=1),
-                              ReplayTransport(FIXTURES / "replay_transcript.jsonl"),
+        _, log = run_baseline(instances, LlmRunConfig(max_retries=1), transport,
                               exemplars=exemplars, transcript_out=out)
-        assert out.read_bytes() == "".join(
-            json.dumps(r, ensure_ascii=False) + "\n" for r in log).encode("utf-8")
+        check_transcript(out, log, transport.sent, exemplars)
         assert [r["key"] for r in log] == ["q1::0", "q2::0", "q3::0"]
+        assert [len(transport.sent[r["key"]]) for r in log] == [1, 1, 2]  # q3 falls back
 
     def test_prefix_rendered_once_per_run(self, monkeypatch):
         counts = {"build_prefix": 0, "render_query": 0}
@@ -220,14 +254,6 @@ class TestTranscript:
                          ReplayTransport(FIXTURES / "replay_transcript.jsonl"))
             per_run = len(DEFAULT_EXEMPLARS) + len(instances)
             assert counts == {"build_prefix": run, "render_query": run * per_run}
-
-    def test_records_share_the_prefix(self):
-        instances = read_instances(FIXTURES / "llm_instances.jsonl")
-        _, log = run_baseline(instances, LlmRunConfig(max_retries=1),
-                              ReplayTransport(FIXTURES / "replay_transcript.jsonl"))
-        first = log[0]["messages"]
-        for record in log[1:]:
-            assert all(a is b for a, b in zip(record["messages"][:-1], first[:-1]))
 
 
 class TestReplayMalformed:

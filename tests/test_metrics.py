@@ -137,6 +137,13 @@ class TestVaHeatmap:
         grid = va_heatmap([VAPair(9.0, 9.0)], [VAPair(9.0, 9.0)])
         assert grid.cells[3][3]["count"] == 1
 
+    def test_values_outside_the_edges_are_clamped(self):
+        # a gold value below the first edge counts in the first bin, one past the
+        # last edge in the last, so the cell counts still sum to n
+        golds = [VAPair(1.0, 1.0), VAPair(1.0, 9.0), VAPair(9.0, 1.0), VAPair(9.0, 9.0)]
+        grid = va_heatmap(golds, golds, (3, 5, 7), (3, 5, 7))
+        assert [[c["count"] for c in row] for row in grid.cells] == [[1, 1], [1, 1]]
+
     def test_counts_and_cell_rmse_match_brute_force(self):
         rng = np.random.default_rng(5)
         edges = (1.0, 3.0, 5.0, 7.0, 9.0)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dimasr.data import AspectInstance, ConfigError, VAPair
+from dimasr.data import AspectInstance, ConfigError, DataError, VAPair
 from dimasr.model import (
     DimASRModel,
     ModelError,
@@ -308,7 +308,8 @@ class TestCheckpoint:
         assert np.max(np.abs(before - after)) <= 1e-6
 
     def test_missing_path(self, tmp_path):
-        with pytest.raises(ModelError, match="manifest"):
+        manifest = tmp_path / "nope" / "manifest.json"
+        with pytest.raises(DataError, match=f"^{re.escape(str(manifest))}: not found"):
             load_checkpoint(tmp_path / "nope")
 
 
