@@ -418,7 +418,8 @@ class TestLlmBaseline:
 
         monkeypatch.setattr(llm_mod.ReplayTransport, "complete", recording)
         out = tmp_path / "llm"
-        pool_args = ["--exemplar-pool", str(prepared / "train.jsonl"), "--seed", "3"] if pool else []
+        pool_args = (["--exemplar-pool", str(prepared / "train.jsonl"), "--seed", "3"]
+                     if pool else [])
         run_ok(runner, ["llm-baseline", "--config", str(FIXTURES / "llm_config.yaml"),
                         "--instances", str(FIXTURES / "llm_instances.jsonl"),
                         "--replay", str(FIXTURES / "replay_transcript.jsonl"),

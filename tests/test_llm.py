@@ -209,7 +209,8 @@ class TestTranscript:
         # the default exemplars and sampled ones (--exemplar-pool) both; the
         # first instance succeeds, so the run never fails as a whole
         instances = [AspectInstance("s", 0, "fine", "x")] + [
-            AspectInstance(f"{i}:{text}", 0, text, aspect) for i, (text, aspect, _) in enumerate(queries)]
+            AspectInstance(f"{i}:{text}", 0, text, aspect)
+            for i, (text, aspect, _) in enumerate(queries)]
         answers = [(["5.00#5.00"], 1, "ok")] + [answer for _, _, answer in queries]
         transport = RecordingTransport({instance_key(inst): responses
                                         for inst, (responses, _, _) in zip(instances, answers)})
