@@ -175,6 +175,8 @@ def train(config_path, seed, out):
                           f"data setting (validation set required), got {data_cfg}")
     fit_set = data_mod.read_instances(data_cfg["fit"])
     val_set = data_mod.read_instances(data_cfg["val"])
+    data_mod.check_disjoint(fit_set, val_set, f"{data_cfg['fit']} (data.fit) and "
+                                              f"{data_cfg['val']} (data.val)")
 
     resolved = dataclasses.asdict(train_cfg)
     click.echo("resolved hyperparameters:")
@@ -314,6 +316,9 @@ def llm_baseline(config_path, instances_path, replay, exemplar_pool, seed, out):
 
     if replay is not None:
         transport = llm_mod.ReplayTransport(replay)
+        missing = [k for k in map(llm_mod.instance_key, instances) if k not in transport.responses]
+        if missing:
+            raise DataError(f"{replay}: no record for instances {missing[:5]}")
     else:
         transport = llm_mod.HttpChatTransport(run_cfg)
 
@@ -354,10 +359,14 @@ def _read_report(path) -> dict:
 @handle_errors
 def compare(reports, out):
     """Side-by-side table of evaluation reports: rows=methods, cols=datasets."""
-    table = {}
+    table, sources = {}, {}
     datasets = None
     for path in reports:
         obj = _read_report(path)
+        cell = (obj["method"], obj["dataset"])
+        if cell in sources:
+            raise DataError(f"{sources[cell]} and {path} repeat (method, dataset) {cell}")
+        sources[cell] = path
         table.setdefault(obj["method"], {})[obj["dataset"]] = obj["rmse_va"]
     for method, row in table.items():
         cols = set(row)

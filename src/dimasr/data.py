@@ -297,6 +297,13 @@ def split_dev_protocol(instances, ratio: float = 0.8, seed: int = 42) -> Dataset
                         tuple(i for i in instances if i.sentence_id in eval_ids))
 
 
+def check_disjoint(first, second, what: str) -> None:
+    """Refuse two instance sets, named by `what`, that share a sentence id."""
+    overlap = {i.sentence_id for i in first} & {i.sentence_id for i in second}
+    if overlap:
+        raise DataError(f"{what} sentence ids overlap: {sorted(overlap)[:5]}")
+
+
 def merge_and_hold_out(train, dev, holdout_fraction: float = 0.1, seed: int = 42) -> DatasetSplit:
     """Merge train and dev pools, then reserve a sentence-level validation holdout."""
     if not 0.0 < holdout_fraction < 1.0:
@@ -304,9 +311,7 @@ def merge_and_hold_out(train, dev, holdout_fraction: float = 0.1, seed: int = 42
             f"holdout fraction must be in (0, 1), got {holdout_fraction} "
             "(a validation set is required for early stopping)"
         )
-    overlap = {i.sentence_id for i in train} & {i.sentence_id for i in dev}
-    if overlap:
-        raise DataError(f"train/dev sentence ids overlap: {sorted(overlap)[:5]}")
+    check_disjoint(train, dev, "train/dev")
     return split_dev_protocol(list(train) + list(dev), ratio=1.0 - holdout_fraction, seed=seed)
 
 

@@ -6,6 +6,8 @@ deterministic, so repeated runs produce bit-identical results.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 # float64s per AdamW block: 256 KiB per array, so one block of p, g, m, v and
@@ -74,12 +76,12 @@ def adamw_update(p, g, m, v, lr, beta1, beta2, eps, weight_decay, t, live=None):
     to the whole-array formula.
 
     `live`, if given, is row ids (first axis) of p outside which g, m and v
-    are exactly 0, and m and v hold the moments of those rows only: row i of
-    m and v belongs to row live[i] of p. On every other row the formula
-    reduces to p -= lr * (p*weight_decay), since 0/(sqrt(0)+eps) is 0 and
-    0 + x is x; only the sign of a zero can differ from the full formula. So
-    the full formula runs on a copy of the live rows of p and g and on m and
-    v in place, and a decay-only pass covers the table.
+    are exactly 0, and g, m and v hold those rows only: row i of each belongs
+    to row live[i] of p. On every other row the formula reduces to
+    p -= lr * (p*weight_decay), since 0/(sqrt(0)+eps) is 0 and 0 + x is x;
+    only the sign of a zero can differ from the full formula. So the full
+    formula runs on a copy of the live rows of p and on g, m and v in place,
+    and a decay-only pass covers the table.
     """
     for x in (p, m, v):
         if not x.flags.c_contiguous:
@@ -88,10 +90,10 @@ def adamw_update(p, g, m, v, lr, beta1, beta2, eps, weight_decay, t, live=None):
     if live is None:
         _adamw_blocked(p, g, m, v, *hyper)
         return
-    if m.shape != (len(live),) + p.shape[1:] or v.shape != m.shape:
-        raise ValueError("adamw_update with live rows needs m and v of one row per live row")
+    if any(x.shape != (len(live),) + p.shape[1:] for x in (g, m, v)):
+        raise ValueError("adamw_update with live rows needs g, m and v of one row per live row")
     pl = p[live]
-    _adamw_blocked(pl, g[live], m, v, *hyper)
+    _adamw_blocked(pl, g, m, v, *hyper)
     if weight_decay != 0.0:  # with no decay the full formula leaves p as it is
         _decay_blocked(p, lr, weight_decay)
     p[live] = pl
@@ -142,27 +144,27 @@ def _decay_blocked(p, lr, weight_decay):
 
 
 def global_grad_norm(grads) -> float:
-    """L2 norm over a collection of gradient arrays."""
+    """L2 norm over gradient arrays and compact (rows, values) gradients: one
+    squared partial per gradient, summed in order. An array's is np.dot's; a
+    compact one's is the correctly rounded math.fsum of its rows' squared
+    sums, so it equals that fsum over its whole table, whose other rows are 0."""
     total = 0.0
     for g in grads:
-        f = np.reshape(np.asarray(g, dtype=np.float64), -1)
-        total += float(np.dot(f, f))
+        if isinstance(g, tuple):
+            total += math.fsum(np.einsum("ij,ij->i", g[1], g[1]))
+        else:
+            f = np.reshape(np.asarray(g, dtype=np.float64), -1)
+            total += float(np.dot(f, f))
     return float(np.sqrt(total))
 
 
-def clip_gradients(grads, max_norm: float, rows=None) -> float:
-    """Scale gradient arrays in place so the global norm is <= max_norm.
-
-    `rows`, if given, holds per gradient array either None or the row ids
-    outside which that array is exactly 0; only those rows are scaled, as
-    0*scale is 0. Returns the pre-clip norm.
-    """
+def clip_gradients(grads, max_norm: float) -> float:
+    """Scale gradients in place so the global norm is <= max_norm: an array
+    whole, a compact gradient its values. Returns the pre-clip norm."""
     norm = global_grad_norm(grads)
     if norm > max_norm and norm > 0.0:
         scale = max_norm / norm
-        for g, r in zip(grads, rows or [None] * len(grads)):
-            if r is None:
-                g *= scale
-            else:
-                g[r] *= scale
+        for g in grads:
+            values = g[1] if isinstance(g, tuple) else g
+            values *= scale
     return norm

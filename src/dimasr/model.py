@@ -131,19 +131,21 @@ class TinyEncoder:
         H = np.tanh(P @ self.W.T + self.b)
         return H, (token_seqs, P, H)
 
-    def backward(self, dH: np.ndarray, cache, grads: dict) -> dict:
-        """Accumulate the encoder's gradients; returns {"encoder.emb": the
-        sorted row ids it scattered into}, the only rows of that gradient this
-        call writes."""
+    def backward(self, dH: np.ndarray, cache, grads: dict) -> None:
+        """Store the encoder's gradients in `grads`. The table's is compact:
+        (the batch's sorted unique token ids, their (k, dim) gradient rows);
+        every other row is 0. One np.add.at over the batch's ids in order
+        sums each row as a per-instance loop into a zero table would."""
         token_seqs, P, H = cache
         dU = dH * (1.0 - H * H)
-        grads["encoder.W"] += dU.T @ P
-        grads["encoder.b"] += dU.sum(axis=0)
+        grads["encoder.W"] = dU.T @ P
+        grads["encoder.b"] = dU.sum(axis=0)
         dP = dU @ self.W
-        demb = grads["encoder.emb"]
-        for i, ids in enumerate(token_seqs):
-            np.add.at(demb, ids, dP[i] / len(ids))
-        return {"encoder.emb": np.unique(np.concatenate(token_seqs))}
+        lens = np.fromiter(map(len, token_seqs), np.intp, len(token_seqs))
+        rows, at = np.unique(np.concatenate(token_seqs), return_inverse=True)
+        values = np.zeros((len(rows), self.dim))
+        np.add.at(values, at, np.repeat(dP / lens[:, None], lens, axis=0))
+        grads["encoder.emb"] = (rows, values)
 
     def spec(self) -> dict:
         return {
@@ -256,13 +258,12 @@ class RegressionHead:
 
     def backward(self, dZ2: np.ndarray, cache, grads: dict,
                  input_grad: bool = True) -> Optional[np.ndarray]:
-        """Accumulate parameter gradients; returns dL/dH summed over both heads,
-        or None when `input_grad` is false."""
+        """Store the parameter gradients in `grads`; returns dL/dH summed over
+        both heads, or None when `input_grad` is false."""
         H, A1, mask = cache
         dW1, db1, dw2, db2, dH = kernels.head_backward(dZ2, H, A1, self.W1, self.w2, mask,
                                                        input_grad)
-        for name, g in self._per_head(dW1, db1, dw2, db2).items():
-            grads[name] += g
+        grads.update(self._per_head(dW1, db1, dw2, db2))
         return dH
 
 
@@ -348,20 +349,16 @@ class DimASRModel:
         return [VAPair(float(v), float(a)) for v, a in scale_to_va(raw)]
 
     def loss_and_grads(self, batch: Sequence[AspectInstance], rng: np.random.Generator,
-                       grads: dict, inputs, picked, rows: Optional[dict] = None) -> float:
+                       grads: dict, inputs, picked) -> float:
         """Training-mode forward/backward. Returns the loss: the sum over valence
         and arousal of the mean squared error on the label scale.
 
         `inputs` is encoder_inputs() of the set `batch` was drawn from, and
-        `picked` the batch's positions in it. `grads` is a buffer shaped like
-        parameters(); it is zeroed and filled in place, so a training loop
-        reuses one across steps. The encoder runs backward only when encode()
+        `picked` the batch's positions in it. The backward passes store each
+        trainable parameter's gradient in `grads` under its name, replacing
+        what it held: an array shaped like the parameter, or TinyEncoder's
+        compact table gradient. The encoder runs backward only when encode()
         gives a backward cache.
-
-        `rows`, if given, maps a parameter name to the row ids outside which its
-        gradient in `grads` is exactly 0. On entry it holds the rows the previous
-        call wrote, the only ones zeroed; parameters it does not name are zeroed
-        whole. On return it holds the rows the encoder's backward reports.
         """
         golds = []
         for inst in batch:
@@ -385,18 +382,11 @@ class DimASRModel:
         # one mean per head row, then their sum: each row sums as a 1-D array would
         loss = float(np.mean(diff**2, axis=1).sum())
 
-        for name, g in grads.items():
-            if rows is not None and name in rows:
-                g[rows[name]] = 0.0
-            else:
-                g.fill(0.0)
         dz = (2.0 / n) * diff * 8.0 * s * (1.0 - s)
         dHd = self.head.backward(dz, head_cache, grads, input_grad=enc_cache is not None)
         if enc_cache is not None:
             dH = dHd if mask_in is None else dHd * mask_in
-            written = self.encoder.backward(dH, enc_cache, grads)
-            if rows is not None and written:
-                rows.update(written)
+            self.encoder.backward(dH, enc_cache, grads)
         return loss
 
     # -- checkpointing --------------------------------------------------

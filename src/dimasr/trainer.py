@@ -125,12 +125,12 @@ def _substream(seed: int, name: str, index: int = 0) -> np.random.Generator:
 class AdamW:
     """Decoupled-weight-decay Adam over a model's parameters.
 
-    A parameter whose gradient reports its written rows from the first step
-    on (TinyEncoder's embedding table) is row-sparse: m and v hold one row
-    per row any step has reported, in the order first reported, and every
-    other row's moments are 0. Past ADAMW_DENSE_SHARE of the table's rows its
-    moments become whole tables, updated densely from then on. Every other
-    parameter's moments are whole arrays from the first step.
+    A parameter whose first gradient is compact (TinyEncoder's embedding
+    table) is row-sparse: m and v hold one row per row any step's gradient
+    has named, in the order first named, and every other row's moments are
+    0. Past ADAMW_DENSE_SHARE of the table's rows its moments become whole
+    tables, updated densely from then on. Every other parameter's moments
+    are whole arrays from the first step.
     """
 
     def __init__(self, params: dict, config: TrainConfig):
@@ -140,21 +140,26 @@ class AdamW:
         self.live = {}  # row-sparse name -> its rows that m and v hold, in order
         self.t = 0
 
-    def step(self, grads: dict, lr: float, rows: Optional[dict] = None) -> None:
-        """One AdamW step. `rows`, as loss_and_grads fills it, names the rows
-        each row-sparse gradient was written on this step; every other row of
-        it is 0."""
+    def step(self, grads: dict, lr: float) -> None:
+        """One AdamW step; `grads` as loss_and_grads fills it."""
         self.t += 1
-        rows = rows or {}
         for name, p in self.params.items():
+            g = grads[name]
             if name not in self.m:
-                self._allocate(name, p, name in rows)
+                self._allocate(name, p, isinstance(g, tuple))
             if name in self.live:
-                self._add_rows(name, p, rows[name])
+                self._add_rows(name, p, g[0])
+            if isinstance(g, tuple):  # scattered into a zero array laid out as the moments
+                rows, values = g
+                if name in self.live:  # their rows, in their order
+                    order = np.argsort(self.live[name])
+                    rows = order[np.searchsorted(self.live[name], rows, sorter=order)]
+                g = np.zeros(self.m[name].shape)
+                g[rows] = values
             # decoupled weight decay on weight matrices/embeddings, not biases
             wd = self.config.weight_decay if p.ndim >= 2 else 0.0
             kernels.adamw_update(
-                p, grads[name], self.m[name], self.v[name],
+                p, g, self.m[name], self.v[name],
                 lr, 0.9, 0.999, 1e-8, wd, self.t,  # beta1, beta2, eps
                 live=self.live.get(name),
             )
@@ -165,10 +170,10 @@ class AdamW:
         if row_sparse:
             self.live[name] = np.empty(0, dtype=np.intp)
 
-    def _add_rows(self, name, p, written):
-        """Give the rows first written this step zero moments; past
+    def _add_rows(self, name, p, rows):
+        """Give the rows first named this step zero moments; past
         ADAMW_DENSE_SHARE of the rows, make the moments whole tables."""
-        new = np.setdiff1d(written, self.live[name])
+        new = np.setdiff1d(rows, self.live[name])
         if len(new):
             self.live[name] = np.concatenate([self.live[name], new])
             pad = np.zeros((len(new),) + p.shape[1:])
@@ -216,8 +221,6 @@ def fit(
     total_steps = config.max_epochs * steps_per_epoch
     params = model.parameters()
     optimizer = AdamW(params, config)
-    grads = {k: np.zeros_like(v) for k, v in params.items()}
-    rows = {}  # the rows of each row-sparse gradient the last step wrote
     dropout_rng = _substream(config.seed, "dropout")
     stopper = EarlyStopper(config.patience)
     history = TrainHistory()
@@ -235,8 +238,9 @@ def fit(
         for start in range(0, len(fit_set), config.batch_size):
             picked = order[start : start + config.batch_size]
             batch = [fit_set[i] for i in picked]
+            grads = dict.fromkeys(params)  # the step's gradients, in parameter order
             try:
-                loss = model.loss_and_grads(batch, dropout_rng, grads, fit_inputs, picked, rows)
+                loss = model.loss_and_grads(batch, dropout_rng, grads, fit_inputs, picked)
             except ModelError as exc:
                 raise TrainerError(str(exc)) from exc
             if not np.isfinite(loss):
@@ -244,10 +248,9 @@ def fit(
                     f"non-finite loss {loss} at epoch {epoch}, step {step} "
                     f"(batch keys {[b.key for b in batch[:3]]}...)"
                 )
-            norms.append(kernels.clip_gradients(list(grads.values()), config.grad_clip_norm,
-                                                [rows.get(k) for k in grads]))
+            norms.append(kernels.clip_gradients(list(grads.values()), config.grad_clip_norm))
             step += 1
-            optimizer.step(grads, lr_at(step, total_steps, config), rows)
+            optimizer.step(grads, lr_at(step, total_steps, config))
             epoch_loss += loss * len(batch)
 
         try:

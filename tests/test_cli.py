@@ -120,6 +120,28 @@ class TestTrain:
                      "seed: 42", "grad_clip_norm: 1.0"):
             assert line in result.output
 
+    @pytest.mark.parametrize("same_file", [True, False], ids=["same-file", "one-shared-sentence"])
+    def test_fit_and_val_sharing_a_sentence_exit_code(self, runner, prepared, tmp_path,
+                                                      same_file):
+        """Splits are sentence-disjoint: fit and val files that share a sentence
+        id are a data error naming both files, before any training or output."""
+        fit_path = prepared / "train.jsonl"
+        fit_set = read_instances(fit_path)
+        val_path = fit_path
+        if not same_file:
+            val_path = tmp_path / "val.jsonl"
+            write_instances(fit_set[:1] + read_instances(prepared / "eval.jsonl"), val_path)
+        shared = sorted({i.sentence_id for i in fit_set} & {i.sentence_id
+                                                            for i in read_instances(val_path)})
+        cfg = write_train_config(tmp_path / "cfg.yaml", fit_path, val_path)
+        result = runner.invoke(main, ["train", "--config", str(cfg),
+                                      "--out", str(tmp_path / "run")])
+        assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
+        assert result.output == (f"data error: {fit_path} (data.fit) and {val_path} (data.val) "
+                                 f"sentence ids overlap: {shared[:5]}\n")
+        assert len(shared) == (8 if same_file else 1)
+        assert not (tmp_path / "run").exists()
+
     def test_missing_val_data(self, runner, prepared, tmp_path):
         cfg_path = tmp_path / "cfg.yaml"
         Path(cfg_path).write_text(yaml.safe_dump({
@@ -446,6 +468,25 @@ class TestLlmBaseline:
         assert result.exit_code == 2
         assert f"{transcript}:1: field 'response'" in result.output
 
+    def test_replay_without_a_record_for_every_instance_exit_code(self, runner, tmp_path,
+                                                                  monkeypatch):
+        """A replayed run refuses a transcript that has no record for some
+        instance, naming the transcript and the first missing keys, before any
+        request and any output."""
+        transcript = tmp_path / "t.jsonl"
+        lines = (FIXTURES / "replay_transcript.jsonl").read_text().splitlines()
+        transcript.write_text(lines[1] + "\n")  # q2::0 only
+        calls = []
+        monkeypatch.setattr(llm_mod.ReplayTransport, "complete",
+                            lambda self, *args: calls.append(args))
+        result = runner.invoke(main, ["llm-baseline", "--config", str(FIXTURES / "llm_config.yaml"),
+                                      "--instances", str(FIXTURES / "llm_instances.jsonl"),
+                                      "--replay", str(transcript), "--out", str(tmp_path / "o")])
+        assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
+        assert result.output == (f"data error: {transcript}: no record for instances "
+                                 "['q1::0', 'q3::0']\n")
+        assert not calls and not (tmp_path / "o").exists()
+
     def test_live_without_credential(self, runner, tmp_path, monkeypatch):
         monkeypatch.delenv("DIMASR_LLM_API_KEY", raising=False)
         cfg = tmp_path / "live.yaml"
@@ -499,6 +540,20 @@ class TestCompare:
         ]
         result = runner.invoke(main, ["compare", *reports, "--out", str(tmp_path / "cmp")])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("same_file", [False, True], ids=["two-files", "same-file-twice"])
+    def test_repeated_method_and_dataset_exit_code(self, runner, tmp_path, same_file):
+        """Two reports of one (method, dataset) are a data error naming both,
+        not a table that silently keeps one of them."""
+        first = self.make_report(tmp_path / "a.json", "m1", "d", 1.0)
+        other = self.make_report(tmp_path / "b.json", "m2", "d", 2.0)
+        second = first if same_file else self.make_report(tmp_path / "c.json", "m1", "d", 0.5)
+        result = runner.invoke(main, ["compare", first, other, second,
+                                      "--out", str(tmp_path / "cmp")])
+        assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
+        assert result.output == (f"data error: {first} and {second} repeat (method, dataset) "
+                                 "('m1', 'd')\n")
+        assert not (tmp_path / "cmp").exists()
 
     @pytest.mark.parametrize("text,message", [
         ("not json", "malformed JSON"),

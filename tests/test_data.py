@@ -364,7 +364,7 @@ VA_COLUMNS = st.one_of(
 )
 
 
-@settings(max_examples=300, deadline=None, derandomize=True,
+@settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(column=VA_COLUMNS)
 @example(column=["5#5#5", "5"])
@@ -450,7 +450,7 @@ READERS = {
 
 
 @pytest.mark.parametrize("reader", sorted(READERS))
-@settings(max_examples=60, deadline=None, derandomize=True,
+@settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(content=FILE_CONTENTS)
 @example(content=b'{"id": "s\xff"}\n')
@@ -528,7 +528,7 @@ JSONL_FILES = st.lists(
 ).map("".join)
 
 
-@settings(max_examples=300, deadline=None, derandomize=True,
+@settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(text=JSONL_FILES, last_newline=st.booleans())
 @example(text='{"a": 1}\n\x0c\n{"b": [1, {"c": null}]}', last_newline=False)
@@ -611,7 +611,7 @@ GOLD_FILES = st.one_of(
 )
 
 
-@settings(max_examples=300, deadline=None, derandomize=True,
+@settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(gold=GOLD_FILES)
 @example(gold=("simple_jsonl", [{"id": "a", "text": "t", "aspects": [
@@ -711,7 +711,7 @@ SETTINGS = {
 
 
 @pytest.mark.parametrize("section", sorted(SETTINGS))
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_settings_raise_only_config_error(section, data):
     """Whatever a config section holds, reading it returns its object or raises
@@ -724,7 +724,7 @@ def test_settings_raise_only_config_error(section, data):
         pass
 
 
-@settings(max_examples=60, deadline=None, derandomize=True,
+@settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(manifest=MANIFESTS)
 def test_checkpoint_manifest_raises_only_data_error(tmp_path, manifest):

@@ -2,11 +2,14 @@
 the whole-array AdamW formula the blocked and row-aware updates must
 reproduce bit for bit, alone and through whole fits."""
 
+import functools
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dimasr import kernels, trainer
 from dimasr.data import parse_dataset, split_dev_protocol
@@ -34,17 +37,38 @@ def adamw_oracle(p, g, m, v, lr, beta1, beta2, eps, weight_decay, t):
 
 def dense_adamw(*args, live=None):
     """adamw_update's signature over the whole-array oracle, for fits whose
-    encoder reports no rows."""
+    table gradient is a whole table."""
     assert live is None
     adamw_oracle(*args)
 
 
+def fsum_rows_norm(grads, table_shape):
+    """global_grad_norm over dense arrays only, with the stated norm: one
+    partial per array in order, the table's (the array of `table_shape`) the
+    math.fsum of every row's squared sum, any other array's np.dot."""
+    total = 0.0
+    for g in grads:
+        assert isinstance(g, np.ndarray)
+        if g.shape == table_shape:
+            total += math.fsum(np.einsum("ij,ij->i", g, g))
+        else:
+            total += float(np.dot(g.reshape(-1), g.reshape(-1)))
+    return math.sqrt(total)
+
+
 class DenseTinyEncoder(TinyEncoder):
-    """TinyEncoder reporting no rows: its gradient buffer is zeroed, clipped
-    and AdamW-updated whole, the dense path end to end."""
+    """TinyEncoder whose table gradient is a whole table, summed into zeros
+    instance by instance with np.add.at: zeroed, clipped and AdamW-updated
+    whole, the dense path end to end."""
 
     def backward(self, dH, cache, grads):
         super().backward(dH, cache, grads)
+        token_seqs, P, H = cache
+        dP = (dH * (1.0 - H * H)) @ self.W
+        table = np.zeros_like(self.emb)
+        for i, ids in enumerate(token_seqs):
+            np.add.at(table, ids, dP[i] / len(ids))
+        grads["encoder.emb"] = table
 
 
 def test_sigmoid_matches_reference():
@@ -152,8 +176,8 @@ def test_adamw_matches_reference():
 @pytest.mark.parametrize("touched_percent", [0, 8, 100])  # none, random, all
 def test_adamw_live_rows_match_dense_oracle(shape, touched_percent):
     """Gradients nonzero only on each step's touched rows; `live` is every row
-    touched so far, in the order first touched, and m and v hold those rows'
-    moments only. p and the live rows' moments equal the whole-array oracle's,
+    touched so far, in the order first touched, and g, m and v hold those
+    rows only. p and the live rows' moments equal the whole-array oracle's,
     whose moments stay 0 on every other row. Rows straddle ADAMW_BLOCK
     boundaries."""
     rows = shape[0]
@@ -171,7 +195,7 @@ def test_adamw_live_rows_match_dense_oracle(shape, touched_percent):
             pad = np.zeros((len(first),) + shape[1:])
             new = (new[0], np.concatenate([new[1], pad]), np.concatenate([new[2], pad]))
             hyper = (1e-3, 0.9, 0.999, 1e-8, weight_decay, t)
-            kernels.adamw_update(new[0], g, new[1], new[2], *hyper, live=live)
+            kernels.adamw_update(new[0], g[live], new[1], new[2], *hyper, live=live)
             adamw_oracle(old[0], g, old[1], old[2], *hyper)
             assert np.array_equal(new[0], old[0]), (shape, touched_percent, weight_decay, t)
             never = np.ones(rows, dtype=bool)
@@ -197,7 +221,8 @@ def test_adamw_rejects_non_contiguous():
 
 def _fit_row_aware_and_dense(monkeypatch, make_model, fit_set, val_set, config):
     """The same fit twice: row-aware, then dense end to end (DenseTinyEncoder,
-    whole-array AdamW oracle). Asserts history and every parameter are equal;
+    whole-array AdamW oracle, fsum_rows_norm). Asserts history and every
+    parameter are equal;
     returns the row-aware fit's history and, per adamw_update call on its
     embedding table, (live rows, or None for the dense form; table rows)."""
     table_calls = []
@@ -213,8 +238,11 @@ def _fit_row_aware_and_dense(monkeypatch, make_model, fit_set, val_set, config):
         patch.setattr(kernels, "adamw_update", spy)
         model, history = fit(row_aware, fit_set, val_set, config)
     with monkeypatch.context() as patch:
+        ref_model = make_model(DenseTinyEncoder)
         patch.setattr(kernels, "adamw_update", dense_adamw)
-        ref_model, ref_history = fit(make_model(DenseTinyEncoder), fit_set, val_set, config)
+        patch.setattr(kernels, "global_grad_norm", functools.partial(
+            fsum_rows_norm, table_shape=ref_model.encoder.emb.shape))
+        ref_model, ref_history = fit(ref_model, fit_set, val_set, config)
     assert history.records == ref_history.records
     assert history.best_epoch == ref_history.best_epoch
     params, ref_params = model.parameters(), ref_model.parameters()
@@ -302,6 +330,48 @@ def test_moments_held_for_exactly_the_rows_steps_touched(monkeypatch):
     for moment in (optimizer.m["encoder.emb"], optimizer.v["encoder.emb"]):
         assert moment.shape == (len(live), 16)
         assert moment.any(axis=1).all()
+
+
+def dot_norm(grads):
+    """global_grad_norm as it was before compact gradients, verbatim."""
+    total = 0.0
+    for g in grads:
+        f = np.reshape(np.asarray(g, dtype=np.float64), -1)
+        total += float(np.dot(f, f))
+    return float(np.sqrt(total))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.integers(1, 64), dim=st.integers(1, 40),
+       touched=st.sampled_from(["none", "some", "all"]), seed=st.integers(0, 2**32 - 1),
+       scale=st.sampled_from([1e-3, 0.1, 1.0, 1e3]))
+def test_compact_gradient_matches_its_dense_table(rows, dim, touched, seed, scale):
+    """A compact table gradient, beside dense arrays: its norm `==` the
+    fsum-of-every-row norm of its dense scatter, whichever rows it holds;
+    clip_gradients scales its values exactly as it scales the dense rows; and
+    lists of arrays alone keep np.dot's norm bit for bit."""
+    draw = np.random.default_rng(seed)
+    k = {"none": 0, "some": int(draw.integers(1, rows + 1)), "all": rows}[touched]
+    ids = np.sort(draw.choice(rows, size=k, replace=False))
+    values = draw.normal(scale=scale, size=(k, dim))
+    others = [draw.normal(scale=scale, size=(rows + 1, dim)), draw.normal(scale=scale, size=dim)]
+    table = np.zeros((rows, dim))
+    table[ids] = values
+    compact = [(ids, values)] + [g.copy() for g in others]
+    dense = [table] + [g.copy() for g in others]
+    oracle = functools.partial(fsum_rows_norm, table_shape=table.shape)
+    assert global_grad_norm(compact) == oracle(dense)
+    for arrays in (others, dense):
+        assert global_grad_norm(arrays) == dot_norm(arrays)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernels, "global_grad_norm", oracle)
+        dense_norm = clip_gradients(dense, 1.0)
+    assert clip_gradients(compact, 1.0) == dense_norm
+    assert np.array_equal(values, table[ids]) and compact[0][0] is ids
+    assert not np.delete(table, ids, axis=0).any()
+    for got, want in zip(compact[1:], dense[1:]):
+        assert np.array_equal(got, want)
 
 
 def test_clip_gradients():

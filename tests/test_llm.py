@@ -201,7 +201,7 @@ ANSWERS = st.sampled_from([(["7.00#6.00"], 1, "ok"), ([None, "3.00#4.00"], 2, "o
 
 
 class TestTranscript:
-    @settings(max_examples=60, deadline=None, derandomize=True,
+    @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(exemplars=st.one_of(st.just(DEFAULT_EXEMPLARS), st.lists(AS_EXEMPLARS, max_size=4)),
            queries=st.lists(st.tuples(TRICKY_TEXT, TRICKY_TEXT, ANSWERS), max_size=4))

@@ -14,7 +14,7 @@ from dimasr.trainer import (
     fit,
     lr_at,
 )
-from .conftest import make_instances, zero_grads
+from .conftest import make_instances
 
 
 def smoke_config(**overrides):
@@ -203,8 +203,7 @@ class TestFit:
 
 class FrozenStandIn(TinyEncoder):
     """A frozen backbone's contract, as HFEncoder has it: no trainable
-    parameters. Its backward pass, which only OneUnusedParameter's steps
-    reach, does nothing."""
+    parameters, and a backward pass that no step reaches."""
 
     def parameters(self) -> dict:
         return {}
@@ -226,7 +225,8 @@ class CountingFrozen(FrozenStandIn):
 
 
 class OneUnusedParameter(FrozenStandIn):
-    """Reports one parameter that nothing uses, so fit encodes every batch."""
+    """Reports one parameter that nothing uses, so fit encodes every batch;
+    its backward pass stores that parameter's zero gradient."""
 
     def __init__(self, **kwargs):
         super().__init__(**kwargs)
@@ -234,6 +234,9 @@ class OneUnusedParameter(FrozenStandIn):
 
     def parameters(self) -> dict:
         return {"encoder.unused": self.unused}
+
+    def backward(self, dH, cache, grads) -> None:
+        grads["encoder.unused"] = np.zeros(1)
 
 
 class TestFrozenEncoder:
@@ -291,7 +294,7 @@ class TestClipIntegration:
 
         model = tiny_model()
         rng = np.random.default_rng(0)
-        grads = zero_grads(model)
+        grads = {}
         model.loss_and_grads(sixteen_instances, rng, grads,
                              model.encoder_inputs(sixteen_instances), range(16))
         kernels.clip_gradients(list(grads.values()), 1.0)
