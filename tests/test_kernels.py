@@ -58,8 +58,8 @@ def fsum_rows_norm(grads, table_shape):
 
 class DenseTinyEncoder(TinyEncoder):
     """TinyEncoder whose table gradient is a whole table, summed into zeros
-    instance by instance with np.add.at: zeroed, clipped and AdamW-updated
-    whole, the dense path end to end."""
+    instance by instance with np.add.at, then clipped and AdamW-updated
+    whole: the dense path end to end."""
 
     def backward(self, dH, cache, grads):
         super().backward(dH, cache, grads)
@@ -222,9 +222,9 @@ def test_adamw_rejects_non_contiguous():
 def _fit_row_aware_and_dense(monkeypatch, make_model, fit_set, val_set, config):
     """The same fit twice: row-aware, then dense end to end (DenseTinyEncoder,
     whole-array AdamW oracle, fsum_rows_norm). Asserts history and every
-    parameter are equal;
-    returns the row-aware fit's history and, per adamw_update call on its
-    embedding table, (live rows, or None for the dense form; table rows)."""
+    parameter are equal; returns the row-aware fit's history and, per
+    adamw_update call on its embedding table, (live rows, or None for the
+    dense form; table rows)."""
     table_calls = []
     blocked = kernels.adamw_update
     row_aware = make_model(TinyEncoder)
