@@ -57,6 +57,16 @@ def write_manifest(out_dir: Path, command: str, config: dict, inputs: list, outp
     data_mod.write_json(out_dir / "manifest.json", manifest)
 
 
+def _out_dir(out) -> Path:
+    """A command's --out directory, made with its parents if missing."""
+    out_dir = Path(out)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # also a regular file on the path
+        raise ConfigError(f"cannot make --out directory {out}: {exc.strerror}") from None
+    return out_dir
+
+
 def _load_yaml(path, keys: dict) -> dict:
     """A config file's top level, closed to the keys in `keys` and typed by them."""
     try:
@@ -119,8 +129,7 @@ def prepare(train_file, dev_file, fmt, mode, ratio, holdout, seed, out):
     for name, value in (("ratio", ratio), ("holdout", holdout)):  # both reach the manifest
         if not 0.0 < value < 1.0:
             raise ConfigError(f"--{name} must be in (0, 1), got {value}")
-    out_dir = Path(out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(out)
     train_instances = data_mod.parse_dataset(train_file, format=fmt)
     inputs = [train_file]
 
@@ -185,8 +194,7 @@ def train(config_path, seed, out):
 
     model, history = trainer_mod.fit(model, fit_set, val_set, train_cfg)
 
-    out_dir = Path(out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(out)
     ckpt_dir = out_dir / "checkpoint"
     save_checkpoint(model, ckpt_dir)
     history_path = out_dir / "history.json"
@@ -220,8 +228,7 @@ def predict(checkpoint, instances_path, out):
     model = load_checkpoint(checkpoint)
     instances = data_mod.read_instances(instances_path)
     pairs = model.predict_pairs(instances) if instances else []
-    out_dir = Path(out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(out)
     pred_path = out_dir / "predictions.jsonl"
     data_mod.write_predictions(instances, pairs, pred_path)
     click.echo(f"wrote {len(pairs)} predictions to {pred_path}")
@@ -261,8 +268,7 @@ def evaluate(gold, pred, gold_format, edges, method, dataset, out):
     report = metrics_mod.score_files(gold, pred, gold_format=gold_format, edges=edge_list)
     grid = report.heatmap
 
-    out_dir = Path(out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(out)
     report_path = out_dir / "report.json"
     # the report's fields, its heatmap last, as report.json's keys
     data_mod.write_json(report_path, {
@@ -322,8 +328,7 @@ def llm_baseline(config_path, instances_path, replay, exemplar_pool, seed, out):
     else:
         transport = llm_mod.HttpChatTransport(run_cfg)
 
-    out_dir = Path(out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(out)
     transcript_path = out_dir / "transcript.jsonl"
     pairs, log = llm_mod.run_baseline(instances, run_cfg, transport,
                                       exemplars=exemplars, transcript_out=transcript_path)
@@ -390,8 +395,7 @@ def compare(reports, out):
         lines.append(method + "\t" + "\t".join(cells))
     text = "\n".join(lines) + "\n"
 
-    out_dir = Path(out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(out)
     table_path = out_dir / "comparison.tsv"
     table_path.write_text(text, encoding="utf-8")
     json_path = out_dir / "comparison.json"

@@ -25,6 +25,7 @@ from __future__ import annotations
 import inspect
 import json
 import math
+import re
 from contextlib import suppress
 from dataclasses import dataclass
 from itertools import repeat
@@ -111,8 +112,9 @@ def format_va_string(pair: VAPair) -> str:
 def read_jsonl(path) -> Iterator[tuple]:
     """Yield ("file:line", object) for each non-blank line of a JSON Lines file.
 
-    Bytes that are not UTF-8, malformed JSON and a line that is not a JSON
-    object raise DataError naming the file and line."""
+    Bytes that are not UTF-8, malformed JSON, a string holding a lone
+    surrogate and a line that is not a JSON object raise DataError naming the
+    file and line."""
     # undecodable bytes become lone surrogates, so the line they are on is known
     with Path(path).open(encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -128,6 +130,7 @@ def read_jsonl(path) -> Iterator[tuple]:
                 except (ValueError, RecursionError):
                     end = 0  # json.loads below names the fault
                 if line[end:] in ("\n", ""):
+                    _check_surrogates(line, where)
                     yield where, obj
                     continue
             if not line.strip():
@@ -138,18 +141,45 @@ def read_jsonl(path) -> Iterator[tuple]:
                 raise DataError(f"{where}: malformed JSON ({getattr(exc, 'msg', exc)})") from None
             if not isinstance(obj, dict):
                 raise DataError(f"{where}: expected an object, got {type(obj).__name__}")
+            _check_surrogates(line, where)
             yield where, obj
 
 
 def read_json(path):
     """One whole JSON document. Bytes that are not UTF-8 and malformed JSON
-    raise DataError naming the file."""
+    raise DataError naming the file, and a string holding a lone surrogate
+    one naming the file and line."""
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        text = Path(path).read_text(encoding="utf-8")
+        obj = json.loads(text)
     except UnicodeDecodeError:
         raise DataError(f"{path}: not UTF-8 text") from None
     except (ValueError, RecursionError) as exc:  # also over-long integers, deep nesting
         raise DataError(f"{path}: malformed JSON ({getattr(exc, 'msg', exc)})") from None
+    if _SURROGATE_ESCAPE.search(text):
+        for lineno, line in enumerate(text.split("\n"), start=1):
+            _check_surrogates(line, f"{path}:{lineno}")
+    return obj
+
+
+# a \uD800-\uDFFF escape, which decodes to half of a surrogate pair: with its
+# other half it is one character, alone it is no character and no UTF-8 file
+# can hold it
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+# one JSON string literal; none spans lines, so a line's start is outside one
+_STRING_LITERAL = re.compile(r'"(?:[^"\\]|\\.)*"')
+
+
+def _check_surrogates(line: str, where: str) -> None:
+    """Refuse a line of valid JSON with a string that decodes to a lone
+    surrogate. Only a line holding a surrogate escape is looked into."""
+    if "\\u" in line and _SURROGATE_ESCAPE.search(line):
+        for literal in _STRING_LITERAL.findall(line):
+            try:
+                json.loads(literal).encode("utf-8")
+            except UnicodeEncodeError:
+                raise DataError(f"{where}: a string holds a lone surrogate, "
+                                "which is not Unicode text") from None
 
 
 # json.loads(s) calls this decoder's raw_decode once it has checked s
@@ -223,10 +253,18 @@ FORMATS = ("task_json", "simple_jsonl")
 GOLD_FORMATS = FORMATS + ("instances",)  # or an instance file as `dimasr prepare` writes
 
 
-def _pick(obj: Mapping, field: str, where: str):
+def _pick(obj: Mapping, field: str, where: str, kinds=None):
+    """obj's value under the first of the field's keys present. With `kinds`,
+    the value as a string, refused unless its type is one of them."""
     for key in DEFAULT_FIELD_MAP[field]:
         if key in obj:
-            return obj[key]
+            value = obj[key]
+            if kinds is None:
+                return value
+            if type(value) in kinds:  # a bool is not an int here
+                return str(value)
+            raise DataError(f"{where}: field {key!r} must be "
+                            f"{' or '.join(KINDS[kind] for kind in kinds)}, got {value!r}")
     raise DataError(f"{where}: none of {DEFAULT_FIELD_MAP[field]} present")
 
 
@@ -246,17 +284,17 @@ def _dataset_aspects(path, format: str) -> Iterator[tuple]:
     for where, obj in objects:
         if not isinstance(obj, dict):
             raise DataError(f"{where}: expected an object, got {type(obj).__name__}")
-        rid = str(_pick(obj, "id", where))
+        rid = _pick(obj, "id", where, (str, int))
         if not rid:
             raise DataError(f"{where}: sentence id must be non-empty")
-        text = str(_pick(obj, "text", where))
+        text = _pick(obj, "text", where, (str,))
         raw_aspects = _pick(obj, "aspect_list", where)
         if not isinstance(raw_aspects, list) or not raw_aspects:
             raise DataError(f"{where}: record {rid!r} has an empty aspect list")
         record = f"{where}: record {rid!r}"
         for index, entry in enumerate(raw_aspects):
             if isinstance(entry, dict):
-                aspect = _pick(entry, "aspect", where)
+                aspect = _pick(entry, "aspect", where, (str,))
                 va = None
                 for key in DEFAULT_FIELD_MAP["va"]:
                     if key in entry and entry[key] is not None:
@@ -266,7 +304,6 @@ def _dataset_aspects(path, format: str) -> Iterator[tuple]:
                 aspect, va = entry, None
             else:
                 raise DataError(f"{record} has a malformed aspect entry")
-            aspect = str(aspect)
             if not aspect.strip():
                 raise DataError(f"{record}: aspect {index} must be non-empty")
             yield record, rid, index, text, aspect, va

@@ -2,11 +2,17 @@
 
 One numpy implementation of every hot kernel, float64 throughout and
 deterministic, so repeated runs produce bit-identical results.
+
+Where BLAS runs one thread on a machine with a second core, AdamW and the
+heads' products split their work with one helper thread: each element gets
+the operations it gets inline, so the results are the same bits.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import os
 
 import numpy as np
 
@@ -19,6 +25,77 @@ ADAMW_BLOCK = 32768
 # step took 0.52 ms against 1.32 ms dense with 200 live rows, 1.35 ms against
 # 1.09 ms with 2000
 ADAMW_DENSE_SHARE = 0.25
+# multiply-adds in one head's first-layer product from which head_forward and
+# head_backward run each head's product on its own thread. A hand-off to the
+# helper costs about 60 us: the forward pass took 103 us inline against 161 us
+# split at 1 << 19 (16 rows, d=256), 261 against 231 us at 1 << 21 (64 rows,
+# d=256), and 2.03 against 1.16 ms at 18.9M (64 rows, d=768)
+HEAD_SPLIT_MACS = 1 << 21
+# table size from which a row-aware AdamW step splits its decay pass with the
+# helper thread. The pass costs about 1 ns a float, a tenth of the full
+# formula, and two threads gain little on it: with 300 live rows the step
+# took 0.87 ms inline against 1.06 ms split over 4096x128 floats, 2.0 against
+# 2.1 ms over 8192x128, and 4.0 against 3.8 ms over 16384x128
+DECAY_SPLIT_SIZE = 1 << 21
+# the environment variables that set BLAS's thread count, in the order read
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _blas_threads_setting():
+    """The BLAS thread count the environment sets, as written: the first of
+    BLAS_THREAD_VARS that is set and not empty, or None."""
+    return next((os.environ[name] for name in BLAS_THREAD_VARS if os.environ.get(name)), None)
+
+
+def _helper_pays() -> bool:
+    """Whether kernels split their work with the helper thread: only with two
+    usable cores and BLAS set to one thread. With BLAS threads on every core,
+    their idle spinning takes the core the helper would use."""
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cores = os.cpu_count() or 1
+    return cores >= 2 and (_blas_threads_setting() or "").strip() == "1"
+
+
+# read once, at import: numpy's BLAS reads its thread settings when it loads
+_SPLIT = _helper_pays()
+_helper = None  # the helper thread's one-worker executor, started at first use
+
+
+def _reset_helper():
+    global _helper
+    _helper = None
+
+
+if hasattr(os, "register_at_fork"):  # a forked child has no helper thread: it starts its own
+    os.register_at_fork(after_in_child=_reset_helper)
+
+
+def _run(calls) -> None:
+    """Call each of `calls`, functions of no arguments that write disjoint
+    memory: the first on this thread, the rest in order on the helper thread.
+    Returns once all have finished; raises what the first call raised, or
+    else the first exception raised on the helper."""
+    global _helper
+    # imported here, so a process that never splits never loads the module
+    from concurrent.futures import ThreadPoolExecutor, wait
+
+    if _helper is None:
+        _helper = ThreadPoolExecutor(1, thread_name_prefix="dimasr-kernels")
+    futures = [_helper.submit(call) for call in calls[1:]]
+    try:
+        calls[0]()
+    finally:
+        wait(futures)
+    for future in futures:
+        future.result()
+
+
+def _split_heads(W1, n) -> bool:
+    """Whether a head stack's first-layer products over n rows go one head per thread."""
+    k, hidden, d = W1.shape
+    return _SPLIT and k > 1 and n * hidden * d >= HEAD_SPLIT_MACS
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -38,11 +115,24 @@ def head_forward(H, W1, b1, w2, b2, mask=None):
     to the tanh activations before the output layer. Returns (A1, Z2): unmasked
     activations (k, n, hidden) and raw outputs (k, n). The head is the batch
     axis of every matmul, so each head gets bit for bit what a call on its own
-    slice gets; one flat (n, k*hidden) product would not.
+    slice gets; one flat (n, k*hidden) product would not. Split across the
+    helper thread, each head's first layer runs on its own thread, with that
+    same product.
     """
-    A1 = np.tanh(np.matmul(H, W1.transpose(0, 2, 1)) + b1[:, None, :])
+    if _split_heads(W1, len(H)):
+        A1 = np.empty((len(W1), len(H), W1.shape[1]))
+        _run([functools.partial(_first_layer, H, W, b, A) for W, b, A in zip(W1, b1, A1)])
+    else:
+        A1 = np.tanh(np.matmul(H, W1.transpose(0, 2, 1)) + b1[:, None, :])
     Z2 = np.matmul(A1 if mask is None else A1 * mask, w2[..., None])[..., 0] + b2
     return A1, Z2
+
+
+def _first_layer(H, W, b, out):
+    """One head's tanh(H @ W.T + b), computed in `out`."""
+    np.matmul(H, W.T, out=out)
+    out += b
+    np.tanh(out, out=out)
 
 
 def head_backward(dZ2, H, A1, W1, w2, mask=None, input_grad=True):
@@ -58,7 +148,12 @@ def head_backward(dZ2, H, A1, W1, w2, mask=None, input_grad=True):
     if mask is not None:
         dA1 *= mask
     dZ1 = dA1 * (1.0 - A1 * A1)
-    dW1 = np.matmul(dZ1.transpose(0, 2, 1), H)
+    if _split_heads(W1, len(H)):
+        dW1 = np.empty(W1.shape)
+        _run([functools.partial(np.matmul, dZ, H, out=dW)
+              for dZ, dW in zip(dZ1.transpose(0, 2, 1), dW1)])
+    else:
+        dW1 = np.matmul(dZ1.transpose(0, 2, 1), H)
     db1 = dZ1.sum(axis=1)
     dH = np.matmul(dZ1, W1).sum(axis=0) if input_grad else None
     return dW1, db1, dw2, db2, dH
@@ -82,21 +177,49 @@ def adamw_update(p, g, m, v, lr, beta1, beta2, eps, weight_decay, t, live=None):
     only the sign of a zero can differ from the full formula. So the full
     formula runs on a copy of the live rows of p and on g, m and v in place,
     and a decay-only pass covers the table.
+
+    With the helper thread, a dense update runs on the two halves of the
+    arrays, cut at an ADAMW_BLOCK boundary, on the two threads; a row-aware
+    one runs the live rows' formula and the two halves of the decay pass as
+    three calls, and writes the live rows back once all three are done.
     """
     for x in (p, m, v):
         if not x.flags.c_contiguous:
             raise ValueError("adamw_update needs C-contiguous p, m and v")
     hyper = (lr, beta1, beta2, eps, weight_decay, t)
+    pf = p.reshape(-1)
     if live is None:
-        _adamw_blocked(p, g, m, v, *hyper)
+        cut = _halves(p.size, 2 * ADAMW_BLOCK)
+        if cut:
+            flat = [pf] + [x.reshape(-1) for x in (g, m, v)]
+            _run([functools.partial(_adamw_blocked, *(x[:cut] for x in flat), *hyper),
+                  functools.partial(_adamw_blocked, *(x[cut:] for x in flat), *hyper)])
+        else:
+            _adamw_blocked(p, g, m, v, *hyper)
         return
     if any(x.shape != (len(live),) + p.shape[1:] for x in (g, m, v)):
         raise ValueError("adamw_update with live rows needs g, m and v of one row per live row")
     pl = p[live]
-    _adamw_blocked(pl, g, m, v, *hyper)
-    if weight_decay != 0.0:  # with no decay the full formula leaves p as it is
+    live_rows = functools.partial(_adamw_blocked, pl, g, m, v, *hyper)
+    cut = _halves(p.size, DECAY_SPLIT_SIZE)
+    if weight_decay == 0.0:  # with no decay the full formula leaves p as it is
+        live_rows()
+    elif cut:
+        _run([functools.partial(_decay_blocked, pf[:cut], lr, weight_decay), live_rows,
+              functools.partial(_decay_blocked, pf[cut:], lr, weight_decay)])
+    else:
+        live_rows()
         _decay_blocked(p, lr, weight_decay)
     p[live] = pl
+
+
+def _halves(n, least) -> int:
+    """Where adamw_update cuts n elements for the helper thread: at the
+    ADAMW_BLOCK boundary nearest the middle, or 0 (no cut) without the helper
+    or under `least` elements."""
+    if not _SPLIT or n < least:
+        return 0
+    return round(n / (2 * ADAMW_BLOCK)) * ADAMW_BLOCK
 
 
 def _blocks(n):

@@ -18,7 +18,7 @@ import numpy as np
 from . import kernels
 from .data import from_mapping
 from .metrics import rmse_va
-from .model import MIN_MAX_LEN, DimASRModel, ModelError
+from .model import MIN_MAX_LEN, DimASRModel, ModelError, scale_to_va
 
 
 class TrainerError(RuntimeError):
@@ -188,8 +188,10 @@ class AdamW:
 
 
 def evaluate_rmse(model: DimASRModel, instances, inputs=None) -> float:
-    """Joint VA RMSE of the model's predictions; `inputs` as for predict_raw."""
-    return rmse_va(model.predict_pairs(instances, inputs), [inst.gold for inst in instances])
+    """Joint VA RMSE of the model's predictions; `inputs` as for predict_raw.
+    Scored on the label-scale array, the values predict_pairs would hold."""
+    return rmse_va(scale_to_va(model.predict_raw(instances, inputs)),
+                   [inst.gold for inst in instances])
 
 
 def fit(
@@ -257,6 +259,8 @@ def fit(
             val_rmse_va = evaluate_rmse(model, val_set, val_inputs)
         except ModelError as exc:
             raise TrainerError(str(exc)) from exc
+        if not math.isfinite(val_rmse_va):
+            raise TrainerError(f"non-finite validation rmse_va {val_rmse_va} at epoch {epoch}")
         record = EpochRecord(
             epoch=epoch,
             train_loss=epoch_loss / len(fit_set),

@@ -635,6 +635,100 @@ class TestPathArguments:
         assert "is a directory" in result.output or "is a file" in result.output
 
 
+    @pytest.mark.parametrize("command", [
+        ["prepare", "--train-file", "{fixtures}/tiny_dataset.jsonl"],
+        ["evaluate", "--gold", "{fixtures}/gold_5.jsonl", "--pred", "{fixtures}/pred_5.jsonl"],
+        ["compare", "{report}"],
+    ])
+    def test_out_under_a_file_is_config_error(self, runner, tmp_path, command):
+        """An --out path through a regular file cannot be made: one line, exit 1."""
+        (tmp_path / "afile").write_text("")
+        report = tmp_path / "report.json"
+        report.write_text(json.dumps({"method": "m", "dataset": "d", "rmse_va": 1.0}))
+        args = [a.format(fixtures=FIXTURES, report=report) for a in command]
+        result = runner.invoke(main, args + ["--out", str(tmp_path / "afile" / "sub")])
+        assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+        assert result.output == (f"config error: cannot make --out directory "
+                                 f"{tmp_path / 'afile' / 'sub'}: Not a directory\n")
+
+
+class TestDatasetText:
+    """A dataset's text and aspect are strings and its id a string or an
+    integer, each of Unicode text: anything else is a data error (exit 2)
+    naming the file and line (or array index), not a traceback."""
+
+    @staticmethod
+    def prepare(runner, tmp_path, records, fmt):
+        path = tmp_path / ("data.jsonl" if fmt == "simple_jsonl" else "data.json")
+        if fmt == "simple_jsonl":
+            path.write_text("".join(json.dumps(r) + "\n" for r in records))
+            where = f"{path}:{len(records)}"
+        else:
+            path.write_text(json.dumps(records, indent=1))
+            where = f"{path}[{len(records) - 1}]"
+        return runner.invoke(main, ["prepare", "--train-file", str(path), "--format", fmt,
+                                    "--out", str(tmp_path / "out")]), where
+
+    GOOD = [{"id": "s1", "text": "fine food", "aspects": [{"aspect": "food", "va": "6#6"}]},
+            {"id": 2, "text": "slow staff", "aspects": [{"aspect": "staff", "va": "3#5"}]}]
+
+    @pytest.mark.parametrize("fmt", ["simple_jsonl", "task_json"])
+    @pytest.mark.parametrize("field,value,message", [
+        ("text", None, "field 'text' must be a string, got None"),
+        ("text", 5, "field 'text' must be a string, got 5"),
+        ("aspect", 7, "field 'aspect' must be a string, got 7"),
+        ("aspect", ["food"], "field 'aspect' must be a string, got ['food']"),
+        ("id", True, "field 'id' must be a string or an integer, got True"),
+        ("id", 1.5, "field 'id' must be a string or an integer, got 1.5"),
+        ("id", None, "field 'id' must be a string or an integer, got None"),
+    ])
+    def test_field_of_another_type_exit_code(self, runner, tmp_path, fmt, field, value, message):
+        bad = {"id": "s3", "text": "the soup", "aspects": [{"aspect": "soup", "va": "5#5"}]}
+        if field == "aspect":
+            bad["aspects"][0]["aspect"] = value
+        else:
+            bad[field] = value
+        result, where = self.prepare(runner, tmp_path, self.GOOD + [bad], fmt)
+        assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
+        assert result.output == f"data error: {where}: {message}\n"
+        assert not (tmp_path / "out" / "train.jsonl").exists()
+
+    @pytest.mark.parametrize("fmt", ["simple_jsonl", "task_json"])
+    def test_integer_id_is_read_as_its_digits(self, runner, tmp_path, fmt):
+        result, _ = self.prepare(runner, tmp_path, self.GOOD + [
+            dict(self.GOOD[0], id=30, text="more food")], fmt)
+        assert result.exit_code == 0, result.output
+        ids = {r["id"] for r in map(json.loads, (tmp_path / "out" / "train.jsonl").read_text()
+                                   .splitlines() + (tmp_path / "out" / "eval.jsonl").read_text()
+                                   .splitlines())}
+        assert ids == {"s1", "2", "30"}
+
+    @pytest.mark.parametrize("fmt", ["simple_jsonl", "task_json"])
+    def test_lone_surrogate_exit_code(self, runner, tmp_path, fmt):
+        """A lone surrogate escape decodes to no character: exit 2 naming its
+        line, where it used to fail writing the instance file."""
+        bad = dict(self.GOOD[0], id="s3", text="bad \ud800 text")
+        result, where = self.prepare(runner, tmp_path, self.GOOD + [bad], fmt)
+        if fmt == "task_json":  # json.dumps(indent=1) puts each key on its own line
+            path = tmp_path / "data.json"
+            lineno = path.read_text().split("\n").index('  "text": "bad \\ud800 text",') + 1
+            where = f"{path}:{lineno}"
+        assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
+        assert result.output == (f"data error: {where}: a string holds a lone surrogate, "
+                                 "which is not Unicode text\n")
+        assert not (tmp_path / "out" / "train.jsonl").exists()
+
+    @pytest.mark.parametrize("fmt", ["simple_jsonl", "task_json"])
+    def test_surrogate_pair_escape_is_text(self, runner, tmp_path, fmt):
+        """An emoji written with ensure_ascii is a pair of escapes: one character."""
+        emoji = dict(self.GOOD[0], id="s3", text="good \U0001f600 \\ud800 text")
+        result, _ = self.prepare(runner, tmp_path, self.GOOD + [emoji], fmt)
+        assert result.exit_code == 0, result.output
+        texts = [json.loads(line)["text"] for name in ("train.jsonl", "eval.jsonl")
+                 for line in (tmp_path / "out" / name).read_text(encoding="utf-8").splitlines()]
+        assert "good \U0001f600 \\ud800 text" in texts
+
+
 HF_MISSING = "error: the pretrained encoder requires the 'hf' extra (pip install dimasr[hf])"
 # the manifest of the checkpoint test_probe writes, which a probe edits
 TINY_MANIFEST = {

@@ -502,6 +502,10 @@ def _decode_line_by_line(path) -> list:
                 return f"{where}: malformed JSON ({getattr(exc, 'msg', exc)})"
             if not isinstance(obj, dict):
                 return f"{where}: expected an object, got {type(obj).__name__}"
+            try:  # a lone surrogate in any key or value has no UTF-8 encoding
+                json.dumps(obj, ensure_ascii=False).encode("utf-8")
+            except UnicodeEncodeError:
+                return f"{where}: a string holds a lone surrogate, which is not Unicode text"
             pairs.append((where, obj))
     return pairs
 
@@ -535,11 +539,13 @@ JSONL_FILES = st.lists(
 @example(text='\ufeff{"a": 1}\n', last_newline=True)
 @example(text='{"a": 1}\r\n {"b": 2}\n{"c": 3} x\n', last_newline=True)
 @example(text='{"a": 1}\n{"b": ' + "[" * 5_000 + "]" * 5_000 + "}\n", last_newline=True)
+@example(text='{"a": "\\ud83d\\ude00", "\\\\udc00": 1}\n{"b": ["\\udc00x"]}\n', last_newline=True)
+@example(text='{"a": "\\ud800", "b": "\\ud83d\\ude00"}\r\n', last_newline=False)
 def test_read_jsonl_matches_json_loads_per_line(tmp_path, text, last_newline):
     """read_jsonl decodes a line that is one object and its newline with one
     scanner call. It accepts exactly the files that json.loads, line by line,
-    accepts, with equal objects, and otherwise names the same line with the
-    same message."""
+    accepts and whose strings are all Unicode text, with equal objects, and
+    otherwise names the same line with the same message."""
     path = tmp_path / "lines.jsonl"
     path.write_text(text if last_newline else text.rstrip("\n"), encoding="utf-8",
                     errors="surrogatepass", newline="")
