@@ -634,7 +634,6 @@ class TestPathArguments:
         assert isinstance(result.exception, SystemExit)  # not an uncaught exception
         assert "is a directory" in result.output or "is a file" in result.output
 
-
     @pytest.mark.parametrize("command", [
         ["prepare", "--train-file", "{fixtures}/tiny_dataset.jsonl"],
         ["evaluate", "--gold", "{fixtures}/gold_5.jsonl", "--pred", "{fixtures}/pred_5.jsonl"],

@@ -318,6 +318,16 @@ def test_validation_encoder_failure_is_trainer_error(monkeypatch):
         fit(tiny_model(dim=8), fit_set, val_set, smoke_config(max_epochs=1, patience=1))
 
 
+def test_non_finite_validation_rmse_is_trainer_error(monkeypatch):
+    """Validation scores the label-scale array: a NaN prediction fails fit
+    naming the epoch, not as an RMSE that no later epoch can beat."""
+    monkeypatch.setattr(DimASRModel, "predict_raw",
+                        lambda self, instances, inputs=None: np.full((len(instances), 2), np.nan))
+    fit_set, val_set = make_instances(20, seed=1), make_instances(8, seed=2, prefix="v")
+    with pytest.raises(TrainerError, match="non-finite validation rmse_va nan at epoch 1"):
+        fit(tiny_model(dim=8), fit_set, val_set, smoke_config(max_epochs=1, patience=1))
+
+
 def test_adamw_moves_params_toward_gradient_descent():
     params = {"p": np.array([1.0, -1.0])}
     opt = AdamW(params, TrainConfig(weight_decay=0.0))
