@@ -129,6 +129,8 @@ def prepare(train_file, dev_file, fmt, mode, ratio, holdout, seed, out):
     for name, value in (("ratio", ratio), ("holdout", holdout)):  # both reach the manifest
         if not 0.0 < value < 1.0:
             raise ConfigError(f"--{name} must be in (0, 1), got {value}")
+    if mode == "submission" and dev_file is None:
+        raise ConfigError("submission mode requires --dev-file")
     out_dir = _out_dir(out)
     train_instances = data_mod.parse_dataset(train_file, format=fmt)
     inputs = [train_file]
@@ -137,8 +139,6 @@ def prepare(train_file, dev_file, fmt, mode, ratio, holdout, seed, out):
         split = data_mod.split_dev_protocol(train_instances, ratio=ratio, seed=seed)
         names = ("train.jsonl", "eval.jsonl")
     else:
-        if dev_file is None:
-            raise ConfigError("submission mode requires --dev-file")
         dev_instances = data_mod.parse_dataset(dev_file, format=fmt)
         inputs.append(dev_file)
         split = data_mod.merge_and_hold_out(train_instances, dev_instances,

@@ -28,7 +28,7 @@ import math
 import re
 from contextlib import suppress
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import islice, repeat
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -59,6 +59,9 @@ class VAPair:
     arousal: float
 
     def __post_init__(self):
+        v, a = self.valence, self.arousal
+        if type(v) is type(a) is float and VA_MIN <= v <= VA_MAX and VA_MIN <= a <= VA_MAX:
+            return  # false for NaN and infinity, which the loop names
         for name, value in (("valence", self.valence), ("arousal", self.arousal)):
             if not math.isfinite(value):
                 raise DataError(f"{name} must be finite, got {value!r}")
@@ -190,13 +193,29 @@ def _check_surrogates(line: str, where: str) -> None:
 _DECODER = json.JSONDecoder()
 # json.dumps(obj, ensure_ascii=False) builds an encoder like this one per call
 _ENCODER = json.JSONEncoder(ensure_ascii=False)
+_LINES_PER_WRITE = 1024
+
+
+def _line_encoder():
+    """_ENCODER.encode for one file's objects, its C encoder built once instead
+    of once per object: the arguments are the ones _ENCODER.iterencode passes,
+    with a fresh markers dict, so a circular reference still raises."""
+    make = json.encoder.c_make_encoder
+    if make is None:
+        return _ENCODER.encode
+    e = _ENCODER
+    encode = make({}, e.default, json.encoder.encode_basestring, e.indent, e.key_separator,
+                  e.item_separator, e.sort_keys, e.skipkeys, e.allow_nan)
+    return lambda obj: "".join(encode(obj, 0))
 
 
 def write_jsonl(path, objs: Iterable[dict]) -> None:
-    """Write each object as one line of JSON, non-ASCII text kept as is."""
+    """Write each object as one line of JSON, non-ASCII text kept as is: the
+    bytes of json.dumps(obj, ensure_ascii=False), _LINES_PER_WRITE lines a call."""
+    lines = map(_line_encoder(), objs)
     with Path(path).open("w", encoding="utf-8") as fh:
-        for obj in objs:
-            fh.write(_ENCODER.encode(obj) + "\n")
+        while batch := list(islice(lines, _LINES_PER_WRITE)):
+            fh.write("\n".join(batch) + "\n")
 
 
 def write_json(path, obj) -> None:

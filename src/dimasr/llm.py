@@ -140,11 +140,13 @@ class ReplayTransport:
     def __init__(self, transcript_path):
         self.responses = {}
         for where, obj in read_jsonl(transcript_path):
-            for name in ("key", "response"):
-                if not isinstance(obj.get(name), str):
-                    raise DataError(f"{where}: field {name!r} must be a string, "
-                                    f"got {obj.get(name)!r}")
-            self.responses.setdefault(obj["key"], []).append(obj["response"])
+            key, response = obj.get("key"), obj.get("response")
+            if not (type(key) is type(response) is str):  # a JSON string is never a subclass
+                for name in ("key", "response"):
+                    if not isinstance(obj.get(name), str):
+                        raise DataError(f"{where}: field {name!r} must be a string, "
+                                        f"got {obj.get(name)!r}")
+            self.responses.setdefault(key, []).append(response)
         self._cursor = {}
 
     def complete(self, key: str, messages, config) -> str:

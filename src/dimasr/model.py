@@ -71,7 +71,7 @@ def build_input(text: str, aspect: str, encoder) -> list:
             f"with specials it exceeds max_len={encoder.max_len}"
         )
     text_ids = encoder.tokenize(text)[:budget]
-    return [encoder.cls_id] + text_ids + [encoder.sep_id] + aspect_ids + [encoder.sep_id]
+    return [encoder.cls_id, *text_ids, encoder.sep_id, *aspect_ids, encoder.sep_id]
 
 
 class _HashedVocab(dict):
@@ -346,7 +346,7 @@ class DimASRModel:
 
     def predict_pairs(self, instances: Sequence[AspectInstance], inputs=None) -> list:
         raw = self.predict_raw(instances, inputs)
-        return [VAPair(float(v), float(a)) for v, a in scale_to_va(raw)]
+        return [VAPair(v, a) for v, a in scale_to_va(raw).tolist()]
 
     def loss_and_grads(self, batch: Sequence[AspectInstance], rng: np.random.Generator,
                        grads: dict, inputs, picked) -> float:
