@@ -131,7 +131,6 @@ def prepare(train_file, dev_file, fmt, mode, ratio, holdout, seed, out):
             raise ConfigError(f"--{name} must be in (0, 1), got {value}")
     if mode == "submission" and dev_file is None:
         raise ConfigError("submission mode requires --dev-file")
-    out_dir = _out_dir(out)
     train_instances = data_mod.parse_dataset(train_file, format=fmt)
     inputs = [train_file]
 
@@ -145,6 +144,7 @@ def prepare(train_file, dev_file, fmt, mode, ratio, holdout, seed, out):
                                             holdout_fraction=holdout, seed=seed)
         names = ("fit.jsonl", "holdout.jsonl")
 
+    out_dir = _out_dir(out)
     outputs = []
     for name, part in zip(names, (split.train, split.eval)):
         path = out_dir / name

@@ -7,6 +7,7 @@ import re
 import shlex
 import shutil
 import sys
+import tempfile
 import types
 import zlib
 from collections import Counter
@@ -16,6 +17,7 @@ import numpy as np
 import pytest
 import yaml
 from click.testing import CliRunner
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from dimasr import llm as llm_mod
 from dimasr.cli import main
@@ -83,11 +85,16 @@ class TestPrepare:
         assert result.exit_code == 1
 
     def test_submission_without_dev_file(self, runner, tmp_path):
-        result = runner.invoke(main, ["prepare", "--train-file",
-                                      str(FIXTURES / "tiny_dataset.jsonl"),
-                                      "--mode", "submission", "--out", str(tmp_path / "x")])
-        assert result.exit_code == 1
-        assert "dev-file" in result.output
+        """Refused with the other option checks: before the train file, even a
+        malformed one, is read and before --out is made (exit 1, one line)."""
+        malformed = tmp_path / "malformed.jsonl"
+        malformed.write_text('{"id": "s1", "text": \n')
+        for train_file in (FIXTURES / "tiny_dataset.jsonl", malformed):
+            result = runner.invoke(main, ["prepare", "--train-file", str(train_file),
+                                          "--mode", "submission", "--out", str(tmp_path / "x")])
+            assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+            assert result.output == "config error: submission mode requires --dev-file\n"
+            assert not (tmp_path / "x").exists()
 
 
 class TestTrain:
@@ -726,6 +733,118 @@ class TestDatasetText:
         texts = [json.loads(line)["text"] for name in ("train.jsonl", "eval.jsonl")
                  for line in (tmp_path / "out" / name).read_text(encoding="utf-8").splitlines()]
         assert "good \U0001f600 \\ud800 text" in texts
+
+
+# pieces of a string as a JSON file holds it: escapes of control characters,
+# a quote, a backslash and paired surrogates (a high escape then a low one),
+# characters written as they are, non-BMP ones and line separators that
+# str.splitlines would split on among them; a lone surrogate escape is added
+# to at most one string of a file
+_FILE_PIECES = st.sampled_from(["\\u0000", "\\u001f", "\\n", "\\t", '\\"', "\\\\",
+                                "\\ud800\\udfff", "\\ud83d\\ude00", "\U0001f600", "\u4e2d",
+                                "\u00e9", " ", "\x85", "\u2028", "word"])
+_file_strings = st.lists(_FILE_PIECES, max_size=4).map("".join)
+_LONE_SURROGATES = st.sampled_from(["\\ud800", "\\udbff", "\\udc00", "\\udfff"])
+
+
+def _decoded(literal):
+    """The string a JSON string literal's body decodes to, or None when it holds
+    a lone surrogate, which is no Unicode text."""
+    text = json.loads(f'"{literal}"')
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return None
+    return text
+
+
+def _assert_standard_lines(path):
+    """Every line is json.dumps of what it decodes to, with ensure_ascii=False."""
+    text = path.read_text(encoding="utf-8")
+    assert text.endswith("\n")
+    for line in text[:-1].split("\n"):
+        assert line == json.dumps(json.loads(line), ensure_ascii=False)
+
+
+@pytest.fixture(scope="module")
+def tiny_checkpoint(tmp_path_factory):
+    path = tmp_path_factory.mktemp("round_trip") / "checkpoint"
+    save_checkpoint(DimASRModel(TinyEncoder(dim=8, seed=0), seed=1), path)
+    return path
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(sentences=st.lists(st.tuples(_file_strings, _file_strings, _file_strings),
+                          min_size=2, max_size=3),
+       lone=st.none() | st.tuples(st.integers(0, 2), st.sampled_from([0, 1, 2]), st.booleans(),
+                                  _LONE_SURROGATES))
+@example(sentences=[("bad \\ud800 text", "", ""), ("fine", "", "")], lone=None)
+@example(sentences=[("\\ud800\\udfff \\ud83d\\ude00 \U0001f600", "\\u2028", ""),
+                    ('a \\"quote\\" \\\\ and \\u0001', "\x85", "\\n")], lone=None)
+@example(sentences=[("fine", "", "\\udc00"), ("fine", "", "")], lone=None)
+def test_every_accepted_text_is_written_back(runner, tmp_path, monkeypatch, tiny_checkpoint,
+                                              sentences, lone):
+    """Texts, aspects and replayed responses through prepare, predict and
+    llm-baseline: a file whose strings are all Unicode text is written back,
+    each output line the standard encoding of its record and each text as
+    read; a file with a lone surrogate is refused (exit 2, one line) before
+    any output or request."""
+    if lone is not None:  # at the start or the end of one text, aspect or response
+        row, column, at_end, escape = lone
+        sentences = [list(strings) for strings in sentences]
+        piece = sentences[row % len(sentences)][column]
+        sentences[row % len(sentences)][column] = piece + escape if at_end else escape + piece
+    d = Path(tempfile.mkdtemp(dir=tmp_path))
+    dataset, instances, transcript = d / "data.jsonl", d / "inst.jsonl", d / "replay.jsonl"
+    with dataset.open("w", encoding="utf-8") as data_fh, \
+            instances.open("w", encoding="utf-8") as inst_fh, \
+            transcript.open("w", encoding="utf-8") as replay_fh:
+        for i, (text, aspect, response) in enumerate(sentences):
+            aspect = "a" + aspect  # never blank, so only the text decides
+            data_fh.write(f'{{"id": "s{i}", "text": "{text}", '
+                          f'"aspects": [{{"aspect": "{aspect}", "va": "6#6"}}]}}\n')
+            inst_fh.write(f'{{"id": "s{i}", "aspect_index": 0, "text": "{text}", '
+                          f'"aspect": "{aspect}"}}\n')
+            replay_fh.write(f'{{"key": "s{i}::0", "response": "{response} 6#6"}}\n')
+    texts = [(_decoded(text), _decoded("a" + aspect)) for text, aspect, _ in sentences]
+    responses = [_decoded(response + " 6#6") for _, _, response in sentences]
+    good = all(None not in pair for pair in texts)
+    requests = []
+    complete = llm_mod.ReplayTransport.complete
+    monkeypatch.setattr(llm_mod.ReplayTransport, "complete",
+                        lambda self, *args: requests.append(args) or complete(self, *args))
+
+    runs = {
+        "prepare": (good, [], ["--train-file", dataset, "--seed", "0"]),
+        "predict": (good, [], ["--checkpoint", tiny_checkpoint, "--instances", instances]),
+        "llm-baseline": (good and None not in responses, requests,
+                         ["--config", FIXTURES / "llm_config.yaml", "--instances", instances,
+                          "--replay", transcript]),
+    }
+    for command, (accepted, sent, args) in runs.items():
+        out = d / command
+        result = runner.invoke(main, [command, *map(str, args), "--out", str(out)])
+        if not accepted:
+            assert result.exit_code == 2 and isinstance(result.exception, SystemExit), command
+            assert result.output.startswith("data error: ") and result.output.count("\n") == 1
+            assert "lone surrogate" in result.output
+            assert not out.exists() and not sent
+            continue
+        assert result.exit_code == 0, result.output
+        written = sorted(out.glob("*.jsonl"))
+        assert written
+        for path in written:
+            _assert_standard_lines(path)
+        if command == "prepare":
+            back = [(i.text, i.aspect) for name in ("train.jsonl", "eval.jsonl")
+                    for i in read_instances(out / name)]
+            assert sorted(back) == sorted(texts)
+    if runs["llm-baseline"][0]:
+        records = (d / "llm-baseline" / "transcript.jsonl").read_text("utf-8")[:-1].split("\n")
+        assert [(r["messages"], r["response"]) for r in map(json.loads, records)] == [
+            ([{"role": "user", "content": llm_mod.render_query(*pair)}], response)
+            for pair, response in zip(texts, responses)]
 
 
 HF_MISSING = "error: the pretrained encoder requires the 'hf' extra (pip install dimasr[hf])"

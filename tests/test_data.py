@@ -1,5 +1,6 @@
 import dataclasses
 import inspect
+import itertools
 import json
 import math
 import re
@@ -26,6 +27,7 @@ from dimasr.data import (
     split_dev_protocol,
     write_instances,
     write_json,
+    write_jsonl,
 )
 from dimasr.llm import LlmRunConfig, ReplayTransport
 from dimasr.model import (CheckpointManifest, DimASRModel, TinyEncoder,
@@ -98,6 +100,43 @@ class TestVAPair:
             assert not valid
         else:
             assert valid
+
+
+def _checked_by_loop(valence, arousal):
+    """VAPair's check as one loop over both values, as it was before the
+    one-comparison path: the reference its accepts and refusals must match."""
+    for name, value in (("valence", valence), ("arousal", arousal)):
+        if not math.isfinite(value):
+            raise DataError(f"{name} must be finite, got {value!r}")
+        if not 1.0 <= value <= 9.0:
+            raise DataError(f"{name} {value} out of range [1.0, 9.0]")
+
+
+def _outcome(check, *args):
+    try:
+        check(*args)
+    except Exception as exc:  # the type and the message are what is compared
+        return type(exc), str(exc)
+    return None
+
+
+VA_VALUES = [1.0, 9.0, 5.5, math.nextafter(1.0, 0.0), math.nextafter(9.0, 10.0),
+             math.nextafter(1.0, 2.0), math.nextafter(9.0, 0.0), -0.0, float("nan"),
+             float("inf"), -float("inf"), 0, 1, 5, 9, 10, True, False, np.float64(9.0),
+             np.float64(math.nextafter(9.0, 10.0)), np.float64("nan"), "5", None]
+
+
+def test_va_pair_checks_as_the_loop_did():
+    """Every pair of values, in range or just outside, NaN, infinite, an int,
+    a bool or no number: VAPair accepts what the loop accepts, keeping the
+    values as given, and refuses the rest with the loop's exception and
+    message."""
+    for valence, arousal in itertools.product(VA_VALUES, repeat=2):
+        want = _outcome(_checked_by_loop, valence, arousal)
+        assert _outcome(VAPair, valence, arousal) == want, (valence, arousal)
+        if want is None:
+            pair = VAPair(valence, arousal)
+            assert type(pair.valence) is type(valence) and type(pair.arousal) is type(arousal)
 
 
 class TestParseDataset:
@@ -252,6 +291,76 @@ class TestInstanceIo:
         path = tmp_path / "inst.jsonl"
         write_instances(instances, path)
         assert read_instances(path) == instances
+
+
+# text that the JSON encoder escapes or keeps: quotes, backslashes, control
+# characters, line separators, non-BMP characters and a paired surrogate as
+# two code points, which no UTF-8 file can hold
+_TEXT_PIECES = ['"', "\\", "\x00", "\x1f", "\n", "\t", "\x7f", "\u2028", "caf\u00e9", "\u4e2d",
+                "\U0001f600", "\ud83d\ude00", "word", " "]
+_texts = st.lists(st.sampled_from(_TEXT_PIECES), max_size=4).map("".join)
+_transcript_records = st.builds(
+    lambda key, text, response, status: {
+        "key": key, "messages": [{"role": "user", "content": text}], "response": response,
+        "parsed": "5.00#5.00", "status": status},
+    _texts, _texts, _texts, st.sampled_from(["ok", "fallback"]))
+_writer_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _texts,
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(_texts, children,
+                                                                     max_size=3),
+    max_leaves=8)
+_writer_objects = _transcript_records | st.dictionaries(_texts, _writer_values, max_size=4)
+
+
+@pytest.fixture(params=["c-encoder", "python-encoder"])
+def encoder(request, monkeypatch):
+    """write_jsonl with the C encoder built once per file, or, without it,
+    with JSONEncoder.encode per object."""
+    if request.param == "python-encoder":
+        monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+    else:
+        assert json.encoder.c_make_encoder is not None
+    return request.param
+
+
+def _assert_written_as_dumps(path, objs):
+    want = "".join(json.dumps(obj, ensure_ascii=False) + "\n" for obj in objs)
+    try:
+        want_bytes = want.encode("utf-8")
+    except UnicodeEncodeError:  # a surrogate code point: no writer can encode it
+        with pytest.raises(UnicodeEncodeError):
+            write_jsonl(path, objs)
+        return
+    write_jsonl(path, iter(objs))
+    assert path.read_bytes() == want_bytes
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(objs=st.lists(_writer_objects, max_size=5))
+@example(objs=[{"text": 'a "quoted" \\ back\x00slash', "n": -7, "x": [1.5, float("nan")]}])
+@example(objs=[{"text": "\U0001f600 \u2028 \u4e2d"}, {"text": "\ud83d\ude00"}])
+def test_write_jsonl_writes_what_json_dumps_does(tmp_path, encoder, objs):
+    """Each line is json.dumps(obj, ensure_ascii=False) and its newline, with the
+    encoder reused across a file's objects and with the per-object fallback."""
+    _assert_written_as_dumps(tmp_path / "out.jsonl", objs)
+
+
+@pytest.mark.parametrize("n", [0, 1, 1023, 1024, 1025, 2049])
+def test_write_jsonl_across_write_batches(tmp_path, encoder, n):
+    objs = [{"id": f"s{i}", "aspect_index": i % 3, "text": "\u00e9\"\\" * (i % 4),
+             "messages": [{"role": "user", "content": str(i)}]} for i in range(n)]
+    _assert_written_as_dumps(tmp_path / "out.jsonl", objs)
+
+
+def test_write_jsonl_refuses_a_circular_reference(tmp_path, encoder):
+    """The reused encoder keeps JSONEncoder's circular reference check, and a
+    refused file leaves the next file's encoder unaffected."""
+    loop = {"id": "s1", "messages": []}
+    loop["messages"].append(loop)
+    with pytest.raises(ValueError, match="Circular reference detected"):
+        write_jsonl(tmp_path / "loop.jsonl", [{"id": "s0"}, loop])
+    _assert_written_as_dumps(tmp_path / "next.jsonl", [{"id": "s0", "messages": [[], []]}])
 
 
 def _write_lines(path, objs):
