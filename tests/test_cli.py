@@ -801,7 +801,7 @@ def test_every_accepted_text_is_written_back(runner, tmp_path, monkeypatch, tiny
             instances.open("w", encoding="utf-8") as inst_fh, \
             transcript.open("w", encoding="utf-8") as replay_fh:
         for i, (text, aspect, response) in enumerate(sentences):
-            aspect = "a" + aspect  # never blank, so only the text decides
+            aspect = "a" + aspect  # never blank: a file is refused only for a lone surrogate
             data_fh.write(f'{{"id": "s{i}", "text": "{text}", '
                           f'"aspects": [{{"aspect": "{aspect}", "va": "6#6"}}]}}\n')
             inst_fh.write(f'{{"id": "s{i}", "aspect_index": 0, "text": "{text}", '
