@@ -1,8 +1,8 @@
 """Command-line entry point: prepare | train | predict | evaluate | llm-baseline | compare.
 
-Every command writes a manifest.json into its output directory recording the
-command, resolved configuration, input/output paths, seed, timestamp, and
-output checksums, so any artifact can be traced back to the run that made it.
+Every command moves its outputs into its output directory together, then writes a
+manifest.json recording the command, resolved configuration, input/output paths, seed,
+timestamp, wall time and output checksums: it names complete files and the run that made them.
 
 Exit codes: 0 success, 1 usage/config error, 2 data error, 3 runtime failure.
 """
@@ -14,7 +14,9 @@ import datetime
 import functools
 import hashlib
 import math
+import shutil
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -57,14 +59,41 @@ def write_manifest(out_dir: Path, command: str, config: dict, inputs: list, outp
     data_mod.write_json(out_dir / "manifest.json", manifest)
 
 
-def _out_dir(out) -> Path:
-    """A command's --out directory, made with its parents if missing."""
-    out_dir = Path(out)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:  # also a regular file on the path
-        raise ConfigError(f"cannot make --out directory {out}: {exc.strerror}") from None
-    return out_dir
+class _Outputs:
+    """A command's --out directory, timed from the command's start. Outputs are written
+    in a staging directory (made with --out on the first path asked for) until commit()
+    moves them into place and writes the manifest; handle_errors removes the directory."""
+
+    def __init__(self, out):
+        self.start = time.perf_counter()
+        self.dir, self.stage = Path(out), None
+        self.listed = []  # the manifest's outputs, relative to --out, in order
+
+    def path(self, name: str, *files: str) -> Path:
+        """Where to write output `name`; a directory output names the files the manifest lists."""
+        try:
+            if self.stage is None:
+                self.dir.mkdir(parents=True, exist_ok=True)
+                self.stage = Path(tempfile.mkdtemp(prefix=".partial-", dir=self.dir))
+        except OSError as exc:  # also a regular file on the path
+            raise ConfigError(f"cannot make --out directory {self.dir}: {exc.strerror}") from None
+        self.listed += [f"{name}/{f}" for f in files] or [name]
+        return self.stage / name
+
+    def commit(self, command: str, config: dict, inputs: list, seed, **traffic) -> None:
+        manifest = self.dir / "manifest.json"
+        manifest.unlink(missing_ok=True)  # it would describe the files being replaced
+        for new in sorted(self.stage.iterdir()):
+            final = self.dir / new.name
+            try:
+                if new.is_dir() and final.is_dir():  # rename cannot replace a full directory
+                    final.replace(self.stage / f".old-{new.name}")
+                new.replace(final)
+            except OSError as exc:  # such as a file's name taken by a directory
+                raise ConfigError(f"cannot write {final}: {exc.strerror}") from None
+        write_manifest(self.stage, command, config, inputs, [self.dir / n for n in self.listed],
+                       seed, **traffic, seconds=time.perf_counter() - self.start)
+        (self.stage / "manifest.json").replace(manifest)
 
 
 def _load_yaml(path, keys: dict) -> dict:
@@ -90,10 +119,13 @@ def _load_yaml(path, keys: dict) -> dict:
 
 
 def handle_errors(fn):
+    """Adds --out, given to the command as an _Outputs, and exits with each error's code."""
+    @click.option("--out", required=True, type=click.Path(file_okay=False))
     @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
+    def wrapper(*args, out, **kwargs):
+        outputs = _Outputs(out)
         try:
-            return fn(*args, **kwargs)
+            return fn(*args, out=outputs, **kwargs)
         except ConfigError as exc:
             click.echo(f"config error: {exc}", err=True)
             sys.exit(1)
@@ -103,6 +135,9 @@ def handle_errors(fn):
         except (TrainerError, ModelError, llm_mod.LlmError, RuntimeError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(3)
+        finally:
+            if outputs.stage is not None:
+                shutil.rmtree(outputs.stage, ignore_errors=True)
 
     return wrapper
 
@@ -122,7 +157,6 @@ def main():
 @click.option("--ratio", default=0.8, show_default=True)
 @click.option("--holdout", default=0.1, show_default=True)
 @click.option("--seed", default=42, show_default=True, type=click.IntRange(min=0))
-@click.option("--out", required=True, type=click.Path(file_okay=False))
 @handle_errors
 def prepare(train_file, dev_file, fmt, mode, ratio, holdout, seed, out):
     """Expand sentences into instances and write the chosen split."""
@@ -144,25 +178,17 @@ def prepare(train_file, dev_file, fmt, mode, ratio, holdout, seed, out):
                                             holdout_fraction=holdout, seed=seed)
         names = ("fit.jsonl", "holdout.jsonl")
 
-    out_dir = _out_dir(out)
-    outputs = []
     for name, part in zip(names, (split.train, split.eval)):
-        path = out_dir / name
-        data_mod.write_instances(part, path)
-        outputs.append(path)
-
-    for name, part in zip(names, (split.train, split.eval)):
+        data_mod.write_instances(part, out.path(name))
         sentences = len({i.sentence_id for i in part})
         click.echo(f"{name}: {sentences} sentences, {len(part)} instances")
-    write_manifest(out_dir, "prepare",
-                   {"format": fmt, "mode": mode, "ratio": ratio, "holdout": holdout},
-                   inputs, outputs, seed)
+    out.commit("prepare", {"format": fmt, "mode": mode, "ratio": ratio, "holdout": holdout},
+               inputs, seed, instances=len(split.train) + len(split.eval))
 
 
 @main.command()
 @click.option("--config", "config_path", required=True, type=click.Path(dir_okay=False))
 @click.option("--seed", type=int, default=None, help="Override the config seed.")
-@click.option("--out", required=True, type=click.Path(file_okay=False))
 @handle_errors
 def train(config_path, seed, out):
     """Fine-tune one model per the config; writes checkpoint + history."""
@@ -194,47 +220,37 @@ def train(config_path, seed, out):
 
     model, history = trainer_mod.fit(model, fit_set, val_set, train_cfg)
 
-    out_dir = _out_dir(out)
-    ckpt_dir = out_dir / "checkpoint"
-    save_checkpoint(model, ckpt_dir)
-    history_path = out_dir / "history.json"
     history_json = dataclasses.asdict(history)
-    data_mod.write_json(history_path, history_json)
-    tsv_path = out_dir / "history.tsv"
+    data_mod.write_json(out.path("history.json"), history_json)
     columns = [f.name for f in dataclasses.fields(trainer_mod.EpochRecord)]
-    with tsv_path.open("w", encoding="utf-8") as fh:
-        fh.write("\t".join(columns) + "\n")
-        for row in history_json["records"]:
-            fh.write("\t".join(f"{row[c]:.6f}" if isinstance(row[c], float) else str(row[c])
-                               for c in columns) + "\n")
+    lines = ["\t".join(columns)] + ["\t".join(f"{row[c]:.6f}" if isinstance(row[c], float)
+                                              else str(row[c]) for c in columns)
+                                    for row in history_json["records"]]
+    out.path("history.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    save_checkpoint(model, out.path("checkpoint", "params.npz", "manifest.json"))
+    out.commit("train", {"config_file": str(config_path), **resolved},
+               [config_path, data_cfg["fit"], data_cfg["val"]], train_cfg.seed)
 
     click.echo(f"best epoch: {history.best_epoch} "
                f"(val rmse_va {history.records[history.best_epoch - 1].val_rmse_va:.4f})")
-    write_manifest(out_dir, "train", {"config_file": str(config_path), **resolved},
-                   [config_path, data_cfg["fit"], data_cfg["val"]],
-                   [history_path, tsv_path, ckpt_dir / "params.npz", ckpt_dir / "manifest.json"],
-                   train_cfg.seed)
 
 
 @main.command()
 @click.option("--checkpoint", required=True, type=click.Path(exists=True, file_okay=False))
 @click.option("--instances", "instances_path", required=True,
               type=click.Path(exists=True, dir_okay=False))
-@click.option("--out", required=True, type=click.Path(file_okay=False))
 @handle_errors
 def predict(checkpoint, instances_path, out):
     """Eval-mode predictions for an instance file; writes predictions.jsonl."""
-    start = time.perf_counter()
+    if out.dir.resolve() == Path(checkpoint).resolve():  # its manifest.json would be replaced
+        raise ConfigError(f"--out {out.dir} is the --checkpoint directory this command reads")
     model = load_checkpoint(checkpoint)
     instances = data_mod.read_instances(instances_path)
     pairs = model.predict_pairs(instances) if instances else []
-    out_dir = _out_dir(out)
-    pred_path = out_dir / "predictions.jsonl"
-    data_mod.write_predictions(instances, pairs, pred_path)
-    click.echo(f"wrote {len(pairs)} predictions to {pred_path}")
-    write_manifest(out_dir, "predict", {"checkpoint": str(checkpoint)},
-                   [checkpoint, instances_path], [pred_path], model.seed,
-                   instances=len(instances), seconds=time.perf_counter() - start)
+    data_mod.write_predictions(instances, pairs, out.path("predictions.jsonl"))
+    out.commit("predict", {"checkpoint": str(checkpoint)}, [checkpoint, instances_path],
+               model.seed, instances=len(instances))
+    click.echo(f"wrote {len(pairs)} predictions to {out.dir / 'predictions.jsonl'}")
 
 
 def _parse_edges(text: str):
@@ -259,22 +275,17 @@ def _parse_edges(text: str):
               help="Heatmap bin edges (used on both axes).")
 @click.option("--method", default="model", show_default=True)
 @click.option("--dataset", default="dataset", show_default=True)
-@click.option("--out", required=True, type=click.Path(file_okay=False))
 @handle_errors
 def evaluate(gold, pred, gold_format, edges, method, dataset, out):
     """Score a prediction file against gold and write the full report."""
-    start = time.perf_counter()
     edge_list = _parse_edges(edges)
     report = metrics_mod.score_files(gold, pred, gold_format=gold_format, edges=edge_list)
     grid = report.heatmap
 
-    out_dir = _out_dir(out)
-    report_path = out_dir / "report.json"
     # the report's fields, its heatmap last, as report.json's keys
-    data_mod.write_json(report_path, {
+    data_mod.write_json(out.path("report.json"), {
         "method": method, "dataset": dataset, **dataclasses.asdict(report),
         "heatmap_note": "bin edges are configurable; defaults give a 4x4 grid"})
-    text_path = out_dir / "report.txt"
     lines = [
         f"method: {method}  dataset: {dataset}  n={report.n}",
         f"rmse_va={report.rmse_va:.4f}  rmse_v={report.rmse_v:.4f}  rmse_a={report.rmse_a:.4f}",
@@ -288,11 +299,10 @@ def evaluate(gold, pred, gold_format, edges, method, dataset, out):
             rmse = "-" if cell["rmse"] is None else f"{cell['rmse']:.2f}"
             cells.append(f"{rmse}/{cell['count']}")
         lines.append(f"  v[{grid.v_edges[i]:g},{grid.v_edges[i + 1]:g}): " + "  ".join(cells))
-    text_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out.path("report.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out.commit("evaluate", {"edges": list(edge_list), "gold_format": gold_format},
+               [gold, pred], None, instances=report.n)
     click.echo("\n".join(lines))
-    write_manifest(out_dir, "evaluate", {"edges": list(edge_list), "gold_format": gold_format},
-                   [gold, pred], [report_path, text_path], None,
-                   instances=report.n, seconds=time.perf_counter() - start)
 
 
 @main.command("llm-baseline")
@@ -304,7 +314,6 @@ def evaluate(gold, pred, gold_format, edges, method, dataset, out):
 @click.option("--exemplar-pool", type=click.Path(exists=True, dir_okay=False),
               help="Instance file to sample exemplars from (default: built-in set).")
 @click.option("--seed", default=42, show_default=True, type=click.IntRange(min=0))
-@click.option("--out", required=True, type=click.Path(file_okay=False))
 @handle_errors
 def llm_baseline(config_path, instances_path, replay, exemplar_pool, seed, out):
     """Run the few-shot prompting baseline (live or replayed)."""
@@ -328,19 +337,18 @@ def llm_baseline(config_path, instances_path, replay, exemplar_pool, seed, out):
     else:
         transport = llm_mod.HttpChatTransport(run_cfg)
 
-    out_dir = _out_dir(out)
-    transcript_path = out_dir / "transcript.jsonl"
+    pred_path, transcript_path = out.path("predictions.jsonl"), out.path("transcript.jsonl")
+    out.path(data_mod.PROMPT_FILE)  # written beside the transcript
     pairs, log = llm_mod.run_baseline(instances, run_cfg, transport,
                                       exemplars=exemplars, transcript_out=transcript_path)
-    pred_path = out_dir / "predictions.jsonl"
     data_mod.write_predictions(instances, pairs, pred_path)
+    out.commit("llm-baseline", {"config_file": str(config_path), "replay": bool(replay),
+                                "model": run_cfg.model, "temperature": run_cfg.temperature},
+               [config_path, instances_path] + ([replay] if replay else []), seed,
+               instances=len(instances))
     n_fallback = sum(1 for r in log if r["status"] != "ok")
-    click.echo(f"wrote {len(pairs)} predictions ({n_fallback} fallbacks) to {pred_path}")
-    write_manifest(out_dir, "llm-baseline",
-                   {"config_file": str(config_path), "replay": bool(replay),
-                    "model": run_cfg.model, "temperature": run_cfg.temperature},
-                   [config_path, instances_path] + ([replay] if replay else []),
-                   [pred_path, transcript_path, out_dir / data_mod.PROMPT_FILE], seed)
+    click.echo(f"wrote {len(pairs)} predictions ({n_fallback} fallbacks) to "
+               f"{out.dir / 'predictions.jsonl'}")
 
 
 def _read_report(path) -> dict:
@@ -360,12 +368,10 @@ def _read_report(path) -> dict:
 
 @main.command()
 @click.argument("reports", nargs=-1, required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--out", required=True, type=click.Path(file_okay=False))
 @handle_errors
 def compare(reports, out):
     """Side-by-side table of evaluation reports: rows=methods, cols=datasets."""
     table, sources = {}, {}
-    datasets = None
     for path in reports:
         obj = _read_report(path)
         cell = (obj["method"], obj["dataset"])
@@ -373,15 +379,11 @@ def compare(reports, out):
             raise DataError(f"{sources[cell]} and {path} repeat (method, dataset) {cell}")
         sources[cell] = path
         table.setdefault(obj["method"], {})[obj["dataset"]] = obj["rmse_va"]
+    datasets = set(next(iter(table.values())))  # the first method's
     for method, row in table.items():
-        cols = set(row)
-        if datasets is None:
-            datasets = cols
-        elif cols != datasets:
-            raise MetricsError(
-                f"method {method!r} covers datasets {sorted(cols)}, "
-                f"expected {sorted(datasets)}"
-            )
+        if set(row) != datasets:
+            raise MetricsError(f"method {method!r} covers datasets {sorted(row)}, "
+                               f"expected {sorted(datasets)}")
     dataset_names = sorted(datasets)
     best = {d: min(row[d] for row in table.values()) for d in dataset_names}
 
@@ -395,13 +397,10 @@ def compare(reports, out):
         lines.append(method + "\t" + "\t".join(cells))
     text = "\n".join(lines) + "\n"
 
-    out_dir = _out_dir(out)
-    table_path = out_dir / "comparison.tsv"
-    table_path.write_text(text, encoding="utf-8")
-    json_path = out_dir / "comparison.json"
-    data_mod.write_json(json_path, {"table": table, "best": best})
+    out.path("comparison.tsv").write_text(text, encoding="utf-8")
+    data_mod.write_json(out.path("comparison.json"), {"table": table, "best": best})
+    out.commit("compare", {}, list(reports), None)
     click.echo(text, nl=False)
-    write_manifest(out_dir, "compare", {}, list(reports), [table_path, json_path], None)
 
 
 if __name__ == "__main__":

@@ -1,7 +1,9 @@
 import ast
 import contextlib
 import dataclasses
+import errno
 import hashlib
+import io
 import json
 import re
 import shlex
@@ -547,6 +549,7 @@ class TestCompare:
         ]
         result = runner.invoke(main, ["compare", *reports, "--out", str(tmp_path / "cmp")])
         assert result.exit_code == 2
+        assert result.output == "data error: method 'm2' covers datasets ['d2'], expected ['d1']\n"
 
     @pytest.mark.parametrize("same_file", [False, True], ids=["two-files", "same-file-twice"])
     def test_repeated_method_and_dataset_exit_code(self, runner, tmp_path, same_file):
@@ -656,6 +659,143 @@ class TestPathArguments:
         assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
         assert result.output == (f"config error: cannot make --out directory "
                                  f"{tmp_path / 'afile' / 'sub'}: Not a directory\n")
+
+
+def _files(root):
+    """Every file under `root`, by its path relative to `root`, with its bytes."""
+    return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def _fail_call(monkeypatch, owner, name, number, counts=None):
+    """Make call `number` of owner.name and every later one raise OSError, as a
+    full disk would, after opening and writing the start of a file when the
+    call is a write-mode open; with `counts` (a list), only count the calls
+    into it."""
+    real = getattr(owner, name)
+    calls = counts if counts is not None else []
+
+    def wrapper(*args, **kwargs):
+        mode = (args[1] if len(args) > 1 else kwargs.get("mode", "r")) if name == "open" else "w"
+        if not set(mode) & set("wax+"):  # a read
+            return real(*args, **kwargs)
+        calls.append(args[0])
+        if 0 < number <= len(calls):
+            if name == "open":  # a half-written file under the staged name
+                with real(*args, **kwargs) as fh:
+                    fh.write(b"{" if "b" in fh.mode else "{")
+            raise OSError(errno.EIO, "injected failure", str(args[0]))
+        return real(*args, **kwargs)
+    monkeypatch.setattr(owner, name, wrapper)
+
+
+class TestOutputs:
+    """Every command stages its outputs inside --out, moves them into place
+    together and writes manifest.json last."""
+
+    COMMANDS = {
+        "prepare": ["prepare", "--train-file", "{fixtures}/tiny_dataset.jsonl"],
+        "train": ["train", "--config", "{config}"],
+        "predict": ["predict", "--checkpoint", "{checkpoint}", "--instances",
+                    "{fixtures}/llm_instances.jsonl"],
+        "evaluate": ["evaluate", "--gold", "{fixtures}/gold_5.jsonl", "--pred",
+                     "{fixtures}/pred_5.jsonl"],
+        "llm-baseline": ["llm-baseline", "--config", "{fixtures}/llm_config.yaml", "--instances",
+                         "{fixtures}/llm_instances.jsonl", "--replay",
+                         "{fixtures}/replay_transcript.jsonl"],
+        "compare": ["compare", "{fixtures}/report_5.json"],
+    }
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_interrupted_writes_leave_no_lying_manifest(self, runner, prepared, tiny_checkpoint,
+                                                       tmp_path, monkeypatch, command):
+        """Run into a full --out again, with each write-mode open (the outputs
+        and the manifest, in turn) and then each rename made to fail: what is
+        left is an earlier manifest whose files all match their checksums, or
+        no manifest; never a half-written file or a staging directory."""
+        config = write_train_config(tmp_path / "cfg.yaml",
+                                    prepared / "train.jsonl", prepared / "eval.jsonl")
+        out, full = tmp_path / "out", tmp_path / "full"
+        args = [a.format(fixtures=FIXTURES, config=config, checkpoint=tiny_checkpoint)
+                for a in self.COMMANDS[command]] + ["--out", str(out)]
+        run_ok(runner, args)
+        writes, renames = [], []
+        with monkeypatch.context() as patch:
+            _fail_call(patch, io, "open", 0, writes)
+            _fail_call(patch, Path, "replace", 0, renames)
+            run_ok(runner, args)  # a second run into a full --out, as the failing runs are
+        complete = _files(out)
+        shutil.copytree(out, full)
+        for owner, name, calls in ((io, "open", writes), (Path, "replace", renames)):
+            for number in range(1, len(calls) + 1):
+                shutil.rmtree(out)
+                shutil.copytree(full, out)
+                with monkeypatch.context() as patch:
+                    _fail_call(patch, owner, name, number)
+                    result = runner.invoke(main, args)
+                assert result.exit_code == 1, (name, number, result.output)
+                assert not list(out.glob(".partial-*"))
+                left = _files(out)
+                for path, data in left.items():
+                    if path != Path("manifest.json"):
+                        assert data == complete[path], (name, number, path)
+                if Path("manifest.json") in left:
+                    manifest = json.loads(left[Path("manifest.json")])
+                    for path in map(Path, manifest["outputs"]):
+                        assert (hashlib.sha256(path.read_bytes()).hexdigest()
+                                == manifest["checksums"][path.name]), (name, number, path)
+        assert len(writes) >= 2 and len(renames) >= 2  # the outputs and the manifest
+
+    def test_second_train_replaces_the_checkpoint(self, runner, prepared, tmp_path):
+        config = write_train_config(tmp_path / "cfg.yaml",
+                                    prepared / "train.jsonl", prepared / "eval.jsonl")
+        out, fresh = tmp_path / "run", tmp_path / "fresh"
+        run_ok(runner, ["train", "--config", str(config), "--out", str(out)])
+        (out / "checkpoint" / "stray.txt").write_text("from the first run")
+        for target in (out, fresh):
+            run_ok(runner, ["train", "--config", str(config), "--seed", "7", "--out", str(target)])
+        assert _files(out / "checkpoint") == _files(fresh / "checkpoint")
+        assert load_checkpoint(out / "checkpoint").seed == 7
+        assert not list(out.glob(".partial-*"))
+
+    @pytest.mark.parametrize("command,taken,kind,message", [
+        ("predict", "predictions.jsonl", "dir", "Is a directory"),
+        ("train", "checkpoint", "file", "Not a directory"),
+    ])
+    def test_output_name_taken_by_the_other_kind(self, runner, prepared, tiny_checkpoint,
+                                                 tmp_path, command, taken, kind, message):
+        """An output that cannot be moved into place: one line naming it, exit 1,
+        no manifest, and what held the name is left as it was."""
+        config = write_train_config(tmp_path / "cfg.yaml",
+                                    prepared / "train.jsonl", prepared / "eval.jsonl")
+        out = tmp_path / "out"
+        out.mkdir()
+        if kind == "dir":
+            (out / taken).mkdir()
+        else:
+            (out / taken).write_text("")
+        args = [a.format(fixtures=FIXTURES, config=config, checkpoint=tiny_checkpoint)
+                for a in self.COMMANDS[command]]
+        result = runner.invoke(main, args + ["--out", str(out)])
+        assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+        assert result.output.endswith(f"config error: cannot write {out / taken}: {message}\n")
+        assert {p.name for p in out.iterdir()} == {taken}
+        assert (out / taken).is_dir() == (kind == "dir")
+
+    def test_predict_refuses_out_of_its_own_checkpoint(self, runner, prepared, tmp_path):
+        """predict's manifest.json would replace the checkpoint's: refused
+        before anything is written, and the checkpoint still loads."""
+        checkpoint = tmp_path / "ck"
+        save_checkpoint(DimASRModel(TinyEncoder(dim=8, seed=0), seed=1), checkpoint)
+        before = _files(checkpoint)
+        for out in (checkpoint, checkpoint / ".." / "ck"):
+            result = runner.invoke(main, ["predict", "--checkpoint", str(checkpoint), "--instances",
+                                          str(prepared / "eval.jsonl"), "--out", str(out)])
+            assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+            assert result.output == (f"config error: --out {out} is the --checkpoint "
+                                     f"directory this command reads\n")
+        assert _files(checkpoint) == before
+        run_ok(runner, ["predict", "--checkpoint", str(checkpoint), "--instances",
+                        str(prepared / "eval.jsonl"), "--out", str(tmp_path / "preds")])
 
 
 class TestDatasetText:
@@ -1149,3 +1289,10 @@ def test_readme_quick_start_runs_as_written(runner, tmp_path, monkeypatch):
         run_ok(runner, command[1:])
     table = json.loads((tmp_path / "cmp" / "comparison.json").read_text())["table"]
     assert set(table) == {"finetune", "llm"} and all(set(row) == {"tiny"} for row in table.values())
+    # every manifest records the command's wall time, and its instances where it has them
+    for command in commands:
+        manifest = json.loads((tmp_path / command[command.index("--out") + 1] / "manifest.json")
+                              .read_text())
+        assert manifest["command"] == command[1] and manifest["seconds"] > 0.0
+        assert ("instances" in manifest) == (command[1] not in ("train", "compare"))
+    assert not list(tmp_path.rglob(".partial-*"))
