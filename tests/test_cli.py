@@ -666,26 +666,36 @@ def _files(root):
     return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
 
 
-def _fail_call(monkeypatch, owner, name, number, counts=None):
-    """Make call `number` of owner.name and every later one raise OSError, as a
-    full disk would, after opening and writing the start of a file when the
-    call is a write-mode open; with `counts` (a list), only count the calls
-    into it."""
-    real = getattr(owner, name)
-    calls = counts if counts is not None else []
+def _fail_from(monkeypatch, kind, number, calls):
+    """Make call `number` and every later one of a write-mode open (kind
+    "write") or of Path.replace (kind "rename") raise OSError, as a full disk
+    would; a failing open first writes the start of its file. Each such call
+    is appended to `calls`; number 0 fails none."""
+    inside = []  # from Python 3.11, Path.open calls io.open: count the outer call only
 
-    def wrapper(*args, **kwargs):
-        mode = (args[1] if len(args) > 1 else kwargs.get("mode", "r")) if name == "open" else "w"
-        if not set(mode) & set("wax+"):  # a read
-            return real(*args, **kwargs)
-        calls.append(args[0])
-        if 0 < number <= len(calls):
-            if name == "open":  # a half-written file under the staged name
-                with real(*args, **kwargs) as fh:
-                    fh.write(b"{" if "b" in fh.mode else "{")
-            raise OSError(errno.EIO, "injected failure", str(args[0]))
-        return real(*args, **kwargs)
-    monkeypatch.setattr(owner, name, wrapper)
+    def patch(owner, name):
+        real = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            mode = args[1] if len(args) > 1 else kwargs.get("mode", "r")
+            if inside or (kind == "write" and not set(mode) & set("wax+")):
+                return real(*args, **kwargs)
+            calls.append(args[0])
+            inside.append(name)
+            try:
+                if 0 < number <= len(calls):
+                    if kind == "write":  # a half-written file under the staged name
+                        with real(*args, **kwargs) as fh:
+                            fh.write(b"{" if "b" in fh.mode else "{")
+                    raise OSError(errno.EIO, "injected failure", str(args[0]))
+                return real(*args, **kwargs)
+            finally:
+                inside.pop()
+        monkeypatch.setattr(owner, name, wrapper)
+
+    # zipfile (np.savez) opens with io.open; pathlib's writers with Path.open
+    for owner, name in [(Path, "open"), (io, "open")] if kind == "write" else [(Path, "replace")]:
+        patch(owner, name)
 
 
 class TestOutputs:
@@ -718,32 +728,32 @@ class TestOutputs:
         args = [a.format(fixtures=FIXTURES, config=config, checkpoint=tiny_checkpoint)
                 for a in self.COMMANDS[command]] + ["--out", str(out)]
         run_ok(runner, args)
-        writes, renames = [], []
+        calls = {"write": [], "rename": []}
         with monkeypatch.context() as patch:
-            _fail_call(patch, io, "open", 0, writes)
-            _fail_call(patch, Path, "replace", 0, renames)
+            for kind, seen in calls.items():
+                _fail_from(patch, kind, 0, seen)
             run_ok(runner, args)  # a second run into a full --out, as the failing runs are
         complete = _files(out)
         shutil.copytree(out, full)
-        for owner, name, calls in ((io, "open", writes), (Path, "replace", renames)):
-            for number in range(1, len(calls) + 1):
+        for kind, seen in calls.items():
+            for number in range(1, len(seen) + 1):
                 shutil.rmtree(out)
                 shutil.copytree(full, out)
                 with monkeypatch.context() as patch:
-                    _fail_call(patch, owner, name, number)
+                    _fail_from(patch, kind, number, [])
                     result = runner.invoke(main, args)
-                assert result.exit_code == 1, (name, number, result.output)
+                assert result.exit_code == 1, (kind, number, result.output)
                 assert not list(out.glob(".partial-*"))
                 left = _files(out)
                 for path, data in left.items():
                     if path != Path("manifest.json"):
-                        assert data == complete[path], (name, number, path)
+                        assert data == complete[path], (kind, number, path)
                 if Path("manifest.json") in left:
                     manifest = json.loads(left[Path("manifest.json")])
                     for path in map(Path, manifest["outputs"]):
                         assert (hashlib.sha256(path.read_bytes()).hexdigest()
-                                == manifest["checksums"][path.name]), (name, number, path)
-        assert len(writes) >= 2 and len(renames) >= 2  # the outputs and the manifest
+                                == manifest["checksums"][path.name]), (kind, number, path)
+        assert len(calls["write"]) >= 2 and len(calls["rename"]) >= 2  # outputs and manifest
 
     def test_second_train_replaces_the_checkpoint(self, runner, prepared, tmp_path):
         config = write_train_config(tmp_path / "cfg.yaml",
