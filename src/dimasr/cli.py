@@ -71,7 +71,10 @@ class _Outputs:
 
     def path(self, name: str, *files: str) -> Path:
         """Where to write output `name`; a directory output names the files the manifest lists."""
+        final = self.dir / name
         try:
+            if final.is_file() if files else final.is_dir():  # commit could not move it into place
+                raise ConfigError(f"cannot write {final}: {'Not a' if files else 'Is a'} directory")
             if self.stage is None:
                 self.dir.mkdir(parents=True, exist_ok=True)
                 self.stage = Path(tempfile.mkdtemp(prefix=".partial-", dir=self.dir))
@@ -135,6 +138,13 @@ def handle_errors(fn):
         except (TrainerError, ModelError, llm_mod.LlmError, RuntimeError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(3)
+        except OSError as exc:  # a staged output's write failed; a full disk names no file
+            staged = Path(exc.filename or outputs.stage or "")
+            if outputs.stage is None or not staged.is_relative_to(outputs.stage):
+                raise
+            final = outputs.dir / staged.relative_to(outputs.stage)
+            click.echo(f"config error: cannot write {final}: {exc.strerror}", err=True)
+            sys.exit(1)
         finally:
             if outputs.stage is not None:
                 shutil.rmtree(outputs.stage, ignore_errors=True)
@@ -213,6 +223,8 @@ def train(config_path, seed, out):
     data_mod.check_disjoint(fit_set, val_set, f"{data_cfg['fit']} (data.fit) and "
                                               f"{data_cfg['val']} (data.val)")
 
+    history_path, tsv_path = out.path("history.json"), out.path("history.tsv")
+    checkpoint_path = out.path("checkpoint", "params.npz", "manifest.json")
     resolved = dataclasses.asdict(train_cfg)
     click.echo("resolved hyperparameters:")
     for key, value in resolved.items():
@@ -221,13 +233,13 @@ def train(config_path, seed, out):
     model, history = trainer_mod.fit(model, fit_set, val_set, train_cfg)
 
     history_json = dataclasses.asdict(history)
-    data_mod.write_json(out.path("history.json"), history_json)
+    data_mod.write_json(history_path, history_json)
     columns = [f.name for f in dataclasses.fields(trainer_mod.EpochRecord)]
     lines = ["\t".join(columns)] + ["\t".join(f"{row[c]:.6f}" if isinstance(row[c], float)
                                               else str(row[c]) for c in columns)
                                     for row in history_json["records"]]
-    out.path("history.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    save_checkpoint(model, out.path("checkpoint", "params.npz", "manifest.json"))
+    tsv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    save_checkpoint(model, checkpoint_path)
     out.commit("train", {"config_file": str(config_path), **resolved},
                [config_path, data_cfg["fit"], data_cfg["val"]], train_cfg.seed)
 

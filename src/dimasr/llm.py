@@ -14,6 +14,7 @@ recorded transcript so tests and CI never touch the network.
 
 from __future__ import annotations
 
+import json
 import math
 import os
 import re
@@ -162,8 +163,10 @@ class HttpChatTransport:
     """OpenAI-style /chat/completions client. Credential via environment."""
 
     def __init__(self, config: LlmRunConfig):
-        if not config.base_url:
-            raise LlmError("live runs require a base_url in the LLM config")
+        if not config.base_url.lower().startswith(("http://", "https://")):
+            raise LlmError("live runs require an http(s) base_url in the LLM config, "
+                           f"got {config.base_url!r}")
+        self.url = config.base_url.rstrip("/") + "/chat/completions"
         api_key = os.environ.get(config.api_key_env)
         if not api_key:
             raise LlmError(
@@ -175,24 +178,23 @@ class HttpChatTransport:
     def complete(self, key: str, messages, config: LlmRunConfig) -> str:
         """The response text; a failed request or a malformed body raises
         LlmError, so run_baseline retries it and then falls back."""
-        import requests
+        import http.client  # here, not at the top: only a live run pays for loading urllib
+        import urllib.request
 
+        payload = json.dumps({"model": config.model, "messages": messages,
+                              "temperature": config.temperature}).encode()
+        request = urllib.request.Request(self.url, payload, {"Content-Type": "application/json"})
+        # unlike an ordinary header, one left unredirected is not copied onto a redirect
+        request.add_unredirected_header("Authorization", f"Bearer {self.api_key}")
         try:
-            resp = requests.post(
-                config.base_url.rstrip("/") + "/chat/completions",
-                headers={"Authorization": f"Bearer {self.api_key}"},
-                json={
-                    "model": config.model,
-                    "messages": messages,
-                    "temperature": config.temperature,
-                },
-                timeout=config.timeout,
-            )
-            resp.raise_for_status()
-        except requests.RequestException as exc:
+            with urllib.request.urlopen(request, timeout=config.timeout) as resp:
+                body = resp.read()
+        except (OSError, http.client.HTTPException) as exc:  # URLError, HTTPError, timeouts
+            if isinstance(exc, urllib.request.HTTPError):
+                exc.close()
             raise LlmError(f"request for instance {key} failed: {exc}") from exc
         try:
-            content = resp.json()["choices"][0]["message"]["content"]
+            content = json.loads(body)["choices"][0]["message"]["content"]
         except (KeyError, IndexError, TypeError, ValueError) as exc:
             raise LlmError(f"malformed response body for instance {key}: {exc!r}") from exc
         if not isinstance(content, str):

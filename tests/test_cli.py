@@ -5,12 +5,14 @@ import errno
 import hashlib
 import io
 import json
+import os
 import re
 import shlex
 import shutil
 import sys
 import tempfile
 import types
+import urllib.request
 import zlib
 from collections import Counter
 from pathlib import Path
@@ -21,6 +23,7 @@ import yaml
 from click.testing import CliRunner
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from dimasr import data as data_mod
 from dimasr import llm as llm_mod
 from dimasr.cli import main
 from dimasr.data import read_instances, write_instances, write_predictions
@@ -507,6 +510,23 @@ class TestLlmBaseline:
         assert result.exit_code == 3
         assert "DIMASR_LLM_API_KEY" in result.output
 
+    @pytest.mark.parametrize("base_url", ["example.com/v1", "file:///etc"])
+    def test_live_base_url_must_be_http(self, runner, tmp_path, monkeypatch, base_url):
+        """urllib would read a file: URL and refuse one with no scheme mid-run:
+        a base_url that is not http(s) is refused before any request and any output."""
+        monkeypatch.setenv("DIMASR_LLM_API_KEY", "k")
+        calls = []
+        monkeypatch.setattr(urllib.request, "urlopen", lambda *args, **kwargs: calls.append(args))
+        cfg = tmp_path / "live.yaml"
+        cfg.write_text(yaml.safe_dump({"llm": {"base_url": base_url, "model": "m"}}))
+        result = runner.invoke(main, ["llm-baseline", "--config", str(cfg),
+                                      "--instances", str(FIXTURES / "llm_instances.jsonl"),
+                                      "--out", str(tmp_path / "o")])
+        assert result.exit_code == 3 and isinstance(result.exception, SystemExit)
+        assert result.output == ("error: live runs require an http(s) base_url in the LLM "
+                                 f"config, got {base_url!r}\n")
+        assert not calls and not (tmp_path / "o").exists()
+
 
 class TestCompare:
     def make_report(self, path, method, dataset, rmse):
@@ -719,15 +739,16 @@ class TestOutputs:
     def test_interrupted_writes_leave_no_lying_manifest(self, runner, prepared, tiny_checkpoint,
                                                        tmp_path, monkeypatch, command):
         """Run into a full --out again, with each write-mode open (the outputs
-        and the manifest, in turn) and then each rename made to fail: what is
-        left is an earlier manifest whose files all match their checksums, or
-        no manifest; never a half-written file or a staging directory."""
+        and the manifest, in turn) and then each rename made to fail: exit 1
+        with one line naming the output, and what is left is an earlier
+        manifest whose files all match their checksums, or no manifest; never
+        a half-written file or a staging directory."""
         config = write_train_config(tmp_path / "cfg.yaml",
                                     prepared / "train.jsonl", prepared / "eval.jsonl")
         out, full = tmp_path / "out", tmp_path / "full"
         args = [a.format(fixtures=FIXTURES, config=config, checkpoint=tiny_checkpoint)
                 for a in self.COMMANDS[command]] + ["--out", str(out)]
-        run_ok(runner, args)
+        shown = run_ok(runner, args).output.splitlines()
         calls = {"write": [], "rename": []}
         with monkeypatch.context() as patch:
             for kind, seen in calls.items():
@@ -742,7 +763,13 @@ class TestOutputs:
                 with monkeypatch.context() as patch:
                     _fail_from(patch, kind, number, [])
                     result = runner.invoke(main, args)
-                assert result.exit_code == 1, (kind, number, result.output)
+                # what a full run shows, cut short, then one line naming the final path
+                assert result.exit_code == 1 and isinstance(result.exception, SystemExit), (
+                    kind, number, result.output)
+                *before, error = result.output.splitlines()
+                assert before == shown[:len(before)], (kind, number, result.output)
+                assert error.startswith(f"config error: cannot write {out}{os.sep}"), error
+                assert ".partial-" not in result.output
                 assert not list(out.glob(".partial-*"))
                 left = _files(out)
                 for path, data in left.items():
@@ -773,8 +800,9 @@ class TestOutputs:
     ])
     def test_output_name_taken_by_the_other_kind(self, runner, prepared, tiny_checkpoint,
                                                  tmp_path, command, taken, kind, message):
-        """An output that cannot be moved into place: one line naming it, exit 1,
-        no manifest, and what held the name is left as it was."""
+        """An output that cannot be moved into place is refused when it is asked
+        for, before train fits: one line naming it, exit 1, no manifest, and
+        what held the name is left as it was."""
         config = write_train_config(tmp_path / "cfg.yaml",
                                     prepared / "train.jsonl", prepared / "eval.jsonl")
         out = tmp_path / "out"
@@ -787,9 +815,23 @@ class TestOutputs:
                 for a in self.COMMANDS[command]]
         result = runner.invoke(main, args + ["--out", str(out)])
         assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
-        assert result.output.endswith(f"config error: cannot write {out / taken}: {message}\n")
+        assert result.output == f"config error: cannot write {out / taken}: {message}\n"
         assert {p.name for p in out.iterdir()} == {taken}
         assert (out / taken).is_dir() == (kind == "dir")
+
+    def test_full_disk_names_the_out_directory(self, runner, tmp_path, monkeypatch):
+        """A failed write that names no file, as a full disk's does, names --out."""
+        def full(*args):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(data_mod, "write_json", full)
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["evaluate", "--gold", str(FIXTURES / "gold_5.jsonl"),
+                                      "--pred", str(FIXTURES / "pred_5.jsonl"), "--out", str(out)])
+        assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+        assert result.output == (f"config error: cannot write {out}: "
+                                 f"{os.strerror(errno.ENOSPC)}\n")
+        assert list(out.iterdir()) == []
 
     def test_predict_refuses_out_of_its_own_checkpoint(self, runner, prepared, tmp_path):
         """predict's manifest.json would replace the checkpoint's: refused

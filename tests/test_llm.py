@@ -1,8 +1,15 @@
 import copy
+import http.server
+import io
 import json
+import os
+import subprocess
+import sys
+import threading
+import urllib.error
+import urllib.request
 
 import pytest
-import requests
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from dimasr import llm
@@ -276,27 +283,33 @@ class TestReplayMalformed:
         assert message in str(info.value)
 
 
-class FakePost:
-    """Stands in for requests.post: call i answers with outcomes[i], either an
-    exception to raise or (status code, body bytes)."""
+class FakeUrlopen:
+    """Stands in for urllib.request.urlopen: call i answers with outcomes[i],
+    either an exception to raise or (status code, body bytes), an error status
+    raised as urlopen raises it. Each call's request and timeout are kept, and
+    each body handed out."""
 
     def __init__(self, outcomes):
         self.outcomes = list(outcomes)
-        self.calls = 0
+        self.calls, self.bodies = [], []
 
-    def __call__(self, url, **kwargs):
-        outcome = self.outcomes[self.calls]
-        self.calls += 1
+    def __call__(self, request, timeout):
+        outcome = self.outcomes[len(self.calls)]
+        self.calls.append((request, timeout))
         if isinstance(outcome, Exception):
             raise outcome
         status, body = outcome
-        resp = requests.Response()
-        resp.status_code, resp._content, resp.url = status, body, url
-        return resp
+        self.bodies.append(io.BytesIO(body))
+        if status >= 400:
+            raise urllib.error.HTTPError(request.full_url, status, "error", {}, self.bodies[-1])
+        return self.bodies[-1]
 
 
 def answer(text):
     return 200, json.dumps({"choices": [{"message": {"content": text}}]}).encode()
+
+
+RESET = urllib.error.URLError(ConnectionResetError("reset"))
 
 
 class TestHttpTransportFailures:
@@ -306,20 +319,18 @@ class TestHttpTransportFailures:
         return HttpChatTransport(LlmRunConfig(base_url="https://example.invalid/v1", model="m"))
 
     def test_connection_error_is_retried(self, transport, monkeypatch):
-        post = FakePost([requests.ConnectionError("reset"), answer("7.00#6.00"),
-                         answer("3.00#4.00")])
-        monkeypatch.setattr(requests, "post", post)
+        urlopen = FakeUrlopen([RESET, answer("7.00#6.00"), answer("3.00#4.00")])
+        monkeypatch.setattr(urllib.request, "urlopen", urlopen)
         pairs, log = run_baseline(make_instances(2), LlmRunConfig(max_retries=1), transport)
-        assert post.calls == 3
+        assert len(urlopen.calls) == 3
         assert pairs == [VAPair(7.0, 6.0), VAPair(3.0, 4.0)]
         assert [r["status"] for r in log] == ["ok", "ok"]
 
     def test_exhausted_retries_fall_back(self, transport, monkeypatch):
-        post = FakePost([requests.ConnectionError("reset"), requests.Timeout("slow"),
-                         answer("2.00#8.00")])
-        monkeypatch.setattr(requests, "post", post)
+        urlopen = FakeUrlopen([RESET, TimeoutError("slow"), answer("2.00#8.00")])
+        monkeypatch.setattr(urllib.request, "urlopen", urlopen)
         pairs, log = run_baseline(make_instances(2), LlmRunConfig(max_retries=1), transport)
-        assert post.calls == 3
+        assert len(urlopen.calls) == 3
         assert pairs == [VAPair(5.0, 5.0), VAPair(2.0, 8.0)]
         assert [r["status"] for r in log] == ["fallback", "ok"]
         assert log[0]["response"].startswith("<transport error: request for instance")
@@ -333,9 +344,82 @@ class TestHttpTransportFailures:
         (200, b'{"choices": [{"message": {"content": null}}]}'),
     ])
     def test_bad_response_is_llm_error(self, transport, monkeypatch, outcome):
-        monkeypatch.setattr(requests, "post", FakePost([outcome]))
-        with pytest.raises(LlmError, match="instance k1"):
+        urlopen = FakeUrlopen([outcome])
+        monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+        with pytest.raises(LlmError, match="instance k1") as info:  # holds any HTTPError
             transport.complete("k1", [], LlmRunConfig(base_url="https://example.invalid/v1"))
+        assert urlopen.bodies[0].closed
+
+    def test_request_sent(self, monkeypatch):
+        """One JSON POST to <base_url>/chat/completions with the config's
+        timeout; the credential is a header urllib never copies onto a redirect."""
+        urlopen = FakeUrlopen([answer("7.00#6.00")])
+        monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+        monkeypatch.setenv("DIMASR_LLM_API_KEY", "k")
+        messages = [{"role": "user", "content": "caf\u00e9"}]
+        config = LlmRunConfig(base_url="https://example.invalid/v1/", model="m",
+                              temperature=0.3, timeout=7.5)
+        assert HttpChatTransport(config).complete("k1", messages, config) == "7.00#6.00"
+        [(request, timeout)] = urlopen.calls
+        assert request.full_url == "https://example.invalid/v1/chat/completions"
+        assert request.get_method() == "POST" and timeout == 7.5
+        assert json.loads(request.data) == {"model": "m", "messages": messages,
+                                            "temperature": 0.3}
+        assert request.headers == {"Content-type": "application/json"}
+        assert request.unredirected_hdrs == {"Authorization": "Bearer k"}
+
+
+def test_loopback_redirect_drops_the_credential(monkeypatch):
+    """Two http.server instances on 127.0.0.1: the first answers the POST with
+    a 302 to the second, which answers 500. The credential reaches the first
+    only, and the 500 is an LlmError."""
+    for name in list(os.environ):
+        if name.lower().endswith("_proxy"):
+            monkeypatch.delenv(name)
+    seen = []
+
+    class Handler(http.server.BaseHTTPRequestHandler):
+        def answer(self):
+            self.rfile.read(int(self.headers.get("Content-Length", 0)))
+            seen.append((self.command, self.path, self.headers.get("Authorization")))
+            if self.server is servers[0]:
+                self.send_response(302)
+                self.send_header("Location", f"http://127.0.0.1:{servers[1].server_port}/moved")
+                self.send_header("Content-Length", "0")
+                self.end_headers()
+            else:
+                self.send_error(500)
+
+        do_GET = do_POST = answer
+
+        def log_message(self, *args):
+            pass
+
+    servers = [http.server.HTTPServer(("127.0.0.1", 0), Handler) for _ in range(2)]
+    threads = [threading.Thread(target=s.serve_forever, daemon=True) for s in servers]
+    for thread in threads:
+        thread.start()
+    try:
+        monkeypatch.setenv("DIMASR_LLM_API_KEY", "k")
+        config = LlmRunConfig(base_url=f"http://127.0.0.1:{servers[0].server_port}/v1",
+                              model="m", timeout=10.0)
+        with pytest.raises(LlmError, match="request for instance k1 failed: HTTP Error 500"):
+            HttpChatTransport(config).complete("k1", [], config)
+    finally:
+        for server, thread in zip(servers, threads):
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=10)
+    assert not any(thread.is_alive() for thread in threads)
+    assert seen == [("POST", "/v1/chat/completions", "Bearer k"), ("GET", "/moved", None)]
+
+
+def test_cli_import_loads_no_http_client():
+    """The live transport imports urllib when it sends its first request."""
+    code = ("import sys, dimasr.cli; "
+            "print(sorted({'urllib.request', 'http.client'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n"
 
 
 def test_http_transport_requires_credential(monkeypatch):
